@@ -6,9 +6,10 @@ stand for something durable.  Objects are chunked under a digest manifest
 (:mod:`repro.content.store`), placed as ``k`` replicas — owner plus
 ``k - 1`` neighbor-biased copies — over the overlay
 (:mod:`repro.content.placement`), and kept alive under churn and injected
-faults by read-repair on fetch plus a background healing loop
-(:mod:`repro.content.plane` for the simulation,
-:mod:`repro.content.live` for the asyncio runtime).
+faults by read-repair on fetch plus a scheduled healing sweep — decided
+once, in :mod:`repro.content.policy`, and executed by
+:mod:`repro.content.plane` on the simulator and
+:mod:`repro.content.live` on the asyncio runtime.
 
 Everything is deterministic under the repo's seeded RNG discipline: the
 owner of a key is content-addressed (a splitmix64 hash), replica choices

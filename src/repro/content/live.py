@@ -13,32 +13,37 @@ A fetch first *locates* a holder with a genuine v0.4 Query flood
 (:meth:`~repro.node.peer.PeerNode.begin_query` + overlay settle), then
 transfers from the nearest hit over a dedicated connection; wall-clock
 transfer time lands in the ``content.fetch_s`` quantile — the same metric
-name the sim plane fills with virtual hop counts.  Push targets follow
-the sim plane's RNG-free preference order (the serving peer's neighbors
-ascending, then all ids ascending), so sim and live agree on replica-count
-accounting for the same failure shape.
+name the sim plane fills with virtual hop counts.
 
-Liveness here is process truth: a peer that was stopped (killed) is down,
-and — matching the simulation's crash-is-disk-loss semantics — its copies
-do not count.  ``self.stats`` uses the sim plane's key catalogue;
-per-event ``content.*`` counters land on the involved peers' private
-registries so :meth:`LiveOverlay.merged_registry` folds them up exactly
-like every other ``node.*`` metric.
+What to push, trim, rebalance or count as lost is decided by the same
+:class:`repro.content.policy.ReplicationPolicy` the sim plane executes,
+so the two agree on replica-count accounting for the same failure shape
+by construction; this class only answers the policy's questions from
+process truth and applies its decisions over the wire (``push_object``,
+a settle, then "did it land").  Liveness is process truth: a peer that
+was stopped (killed) is down, and — matching the simulation's
+crash-is-disk-loss semantics — its copies do not count.  Per-event
+``content.*`` counters land on the involved peers' private registries so
+:meth:`LiveOverlay.merged_registry` folds them up exactly like every
+other ``node.*`` metric.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro import obs as _obs
 from repro.content.manifest import ContentObject, Manifest, reassemble
 from repro.content.placement import ContentPlacement
-from repro.content.plane import (
-    ContentConfig,
+from repro.content.plane import ContentConfig
+from repro.content.policy import (
     DurabilityReport,
     DurabilitySample,
+    Push,
+    ReplicationPolicy,
+    Trim,
 )
 from repro.content.store import ContentStore
 from repro.node.boot import LiveOverlay
@@ -178,22 +183,20 @@ class LiveContent:
         self.config = config if config is not None else ContentConfig(
             k=placement.k,
         )
+        if self.config.k != placement.k:
+            raise ValueError(
+                f"config.k={self.config.k} but the placement was made "
+                f"with k={placement.k}"
+            )
         self.objects: Dict[int, ContentObject] = {o.key: o for o in objects}
         missing = [k for k in placement.object_keys if k not in self.objects]
         if missing:
             raise ValueError(f"placement covers unknown keys: {missing[:3]}")
-        #: Same key catalogue as the sim plane's ``ContentPlane.stats``.
-        self.stats: Dict[str, int] = {
-            "objects_placed": 0, "replicas_placed": 0, "bytes_placed": 0,
-            "fetch.requests": 0, "fetch.hits": 0, "fetch.failures": 0,
-            "repair.pushes": 0, "repair.bytes": 0,
-            "rebalance.pushes": 0, "rebalance.bytes": 0,
-            "heal.ticks": 0, "heal.pushes": 0, "heal.bytes": 0,
-            "heal.trims": 0, "objects_lost": 0,
-        }
-        self._lost: Set[int] = set()
-        self.samples: List[DurabilitySample] = []
-        self._heal_task: Optional[asyncio.Task] = None
+        self.policy = ReplicationPolicy(
+            self, placement.k, list(self.objects), placement)
+        #: Same ledger (and key catalogue) as ``ContentPlane.stats``.
+        self.stats = self.policy.stats
+        self.samples = self.policy.samples
 
     # ------------------------------------------------------------------
     # Placement
@@ -220,7 +223,7 @@ class LiveContent:
             self.stats["objects_placed"] += 1
 
     # ------------------------------------------------------------------
-    # Holder census
+    # The policy's view of the running overlay (HolderView)
     # ------------------------------------------------------------------
 
     def live_holders(self, key: int) -> List[int]:
@@ -231,13 +234,30 @@ class LiveContent:
             and n.content.has_object(key)
         ]
 
+    #: A stopped peer is a crash and its copies are gone with it, so the
+    #: copies that exist are exactly the live ones — no dark copies here.
+    holders = live_holders
+
+    def is_live(self, node: int) -> bool:
+        """Whether peer ``node`` is running."""
+        return self.overlay.nodes[node].running
+
+    def n_live(self) -> int:
+        """Number of running peers."""
+        return sum(1 for n in self.overlay.nodes if n.running)
+
+    def neighbors(self, node: int) -> Iterable[int]:
+        """Peer ``node``'s current link table."""
+        return self.overlay.nodes[node].neighbors
+
+    @property
+    def n_nodes(self) -> int:
+        """Population size (stopped peers included)."""
+        return len(self.overlay.nodes)
+
     def live_replica_count(self, key: int) -> int:
         """Number of running peers holding ``key`` (the sim-parity figure)."""
         return len(self.live_holders(key))
-
-    def _replica_target(self) -> int:
-        alive = sum(1 for n in self.overlay.nodes if n.running)
-        return min(self.config.k, alive)
 
     # ------------------------------------------------------------------
     # Fetch with read-repair
@@ -292,7 +312,9 @@ class LiveContent:
         self.stats["fetch.hits"] += 1
         m.counter("content.fetch.hits").inc()
         if self.config.read_repair:
-            await self._replicate(key, serving, kind="repair")
+            push = self.policy.repair(key, serving)
+            if push is not None:
+                await self._push(push, "repair")
         return data
 
     # ------------------------------------------------------------------
@@ -302,46 +324,20 @@ class LiveContent:
     async def on_join(self, node_id: int) -> int:
         """Rebalance a rejoined peer: push its placed-but-missing keys back.
 
-        The live twin of :meth:`ContentPlane.on_join` — same worklist
-        (``placement.keys_placed_on``), same source preference (lowest-id
-        live holder), same accounting (``rebalance.pushes``/``.bytes``),
-        so sim and live charge identical rebalance pushes for the same
-        churn shape; only here the bytes actually cross TCP.  The surplus
-        replica is trimmed by the next heal sweep's placed-first keep
-        preference.  Returns the number of pushes charged.
+        The live executor of :meth:`ReplicationPolicy.rejoin` — the sim
+        plane's worklist, source preference and ``rebalance.pushes``/
+        ``.bytes`` accounting, only here the bytes actually cross TCP.
+        The surplus replica is trimmed by the next heal sweep's
+        placed-first keep preference.  Returns the number of pushes
+        charged.
         """
         if not self.config.rebalance_on_join:
             return 0
-        node = self.overlay.nodes[node_id]
-        if not node.running:
+        if not self.overlay.nodes[node_id].running:
             return 0
-        if node.content is None:
-            node.content = ContentStore(node_id=node_id)
         pushed = 0
-        for key in self.placement.keys_placed_on(node_id):
-            if node.content.has_object(key):
-                continue
-            live = [h for h in self.live_holders(key) if h != node_id]
-            if not live:
-                continue  # no live source; heal accounts the loss
-            server_node = self.overlay.nodes[live[0]]
-            store = server_node.content
-            manifest = store.manifest(key)
-            chunks = [store.get_chunk(key, i)
-                      for i in range(manifest.n_chunks)]
-            sent = await push_object(server_node, node.host, node.port,
-                                     manifest, chunks)
-            if sent is None:
-                continue
-            await self.overlay.settle()
-            if not node.content.has_object(key):
-                continue  # push raced a teardown; leave it to healing
-            pushed += 1
-            self.stats["rebalance.pushes"] += 1
-            self.stats["rebalance.bytes"] += sent
-            sm = server_node.metrics
-            sm.counter("content.rebalance.pushes").inc()
-            sm.counter("content.rebalance.bytes").inc(sent)
+        for push in self.policy.rejoin(node_id):
+            pushed += await self._push(push, "rebalance")
         return pushed
 
     # ------------------------------------------------------------------
@@ -351,136 +347,46 @@ class LiveContent:
     async def heal(self) -> int:
         """One healing sweep over every placed object; returns pushes.
 
-        Matches the sim plane: ``< k`` live replicas are restored by
-        pushes from the lowest-id live holder, ``> k`` trimmed back down
-        (placed holders preferred, then ascending id); an object with no
-        live holder is lost — a stopped peer is a crash, its copies are
-        gone with it.
+        Applies :meth:`ReplicationPolicy.sweep`'s decisions in order:
+        ``< k`` live replicas are restored by pushes from the lowest-id
+        live holder, ``> k`` trimmed back down (placed holders preferred,
+        then ascending id); an object with no live holder is lost — a
+        stopped peer is a crash, its copies are gone with it.
         """
-        self.stats["heal.ticks"] += 1
         _obs.count("content.heal.ticks")
         pushes = 0
-        k = self._replica_target()
-        for key in self.placement.object_keys:
-            live = self.live_holders(key)
-            if not live:
-                if key not in self._lost:
-                    self._lost.add(key)
-                    self.stats["objects_lost"] += 1
-                    _obs.count("content.heal.objects_lost")
-                continue
-            if len(live) < k:
-                pushes += await self._replicate(key, live[0], kind="heal")
-            elif len(live) > k:
-                self._trim(key, live, k)
+        for decision in self.policy.sweep():
+            if isinstance(decision, Push):
+                pushes += await self._push(decision, "heal")
+            elif isinstance(decision, Trim):
+                for nid in decision.nodes:
+                    node = self.overlay.nodes[nid]
+                    node.content.drop_object(decision.key)
+                    node.store.discard(decision.key)
+                    self.stats["heal.trims"] += 1
+                    node.metrics.counter("content.heal.trims").inc()
+            else:
+                _obs.count("content.heal.objects_lost")
         return pushes
 
-    def start_healing(self, interval: Optional[float] = None) -> None:
-        """Run :meth:`heal` forever on ``interval`` (a background task)."""
-        if self._heal_task is not None:
-            return
-        if interval is None:
-            interval = self.config.heal_interval
+    async def _push(self, push: Push, kind: str) -> int:
+        """Push ``push.key`` over the wire until ``push.need`` copies land.
 
-        async def loop():
-            while True:
-                await asyncio.sleep(interval)
-                await self.heal()
-
-        self._heal_task = asyncio.ensure_future(loop())
-
-    async def stop_healing(self) -> None:
-        """Cancel the background healing task (if any)."""
-        if self._heal_task is None:
-            return
-        self._heal_task.cancel()
-        try:
-            await self._heal_task
-        except asyncio.CancelledError:
-            pass
-        self._heal_task = None
-
-    # ------------------------------------------------------------------
-    # Durability reporting (the sim plane's census, on process truth)
-    # ------------------------------------------------------------------
-
-    def census(self) -> Tuple[float, float, int, int, int]:
-        """(availability, mean live replicas, degraded, unavailable, lost).
-
-        Liveness is process truth, and a stopped peer is a crash whose
-        copies are gone — so unlike the sim there are no dark offline
-        copies: every object with zero live holders counts as lost.
+        A candidate whose transfer fails or races a teardown is skipped
+        for the next one.  Bytes are charged to ``kind`` on the ledger
+        and on the serving peer's registry; returns the pushes that
+        landed.
         """
-        n = len(self.objects)
-        live_total = 0
-        available = degraded = lost = 0
-        for key in self.objects:
-            live = self.live_replica_count(key)
-            live_total += live
-            if live > 0:
-                available += 1
-                if live < self.config.k:
-                    degraded += 1
-            else:
-                lost += 1
-        return available / n, live_total / n, degraded, 0, lost
-
-    def record_sample(self, t: float) -> DurabilitySample:
-        """Census the plane at virtual time ``t`` and keep the sample."""
-        avail, mean_live, degraded, unavailable, lost = self.census()
-        sample = DurabilitySample(
-            time=t, availability=avail, mean_live_replicas=mean_live,
-            n_degraded=degraded, n_unavailable=unavailable, n_lost=lost,
-        )
-        self.samples.append(sample)
-        return sample
-
-    def durability_report(self) -> DurabilityReport:
-        """Final census + traffic ledger, shaped like the sim plane's."""
-        avail, mean_live, degraded, _, lost = self.census()
-        min_avail = min(
-            (s.availability for s in self.samples), default=avail
-        )
-        s = self.stats
-        return DurabilityReport(
-            n_objects=len(self.objects), k=self.config.k,
-            availability=avail, min_availability=min(min_avail, avail),
-            mean_live_replicas=mean_live,
-            objects_lost=lost, objects_degraded=degraded,
-            heal_ticks=s["heal.ticks"], heal_pushes=s["heal.pushes"],
-            heal_bytes=s["heal.bytes"], heal_trims=s["heal.trims"],
-            repair_pushes=s["repair.pushes"], repair_bytes=s["repair.bytes"],
-            fetch_requests=s["fetch.requests"], fetch_hits=s["fetch.hits"],
-            bytes_placed=s["bytes_placed"],
-            rebalance_pushes=s["rebalance.pushes"],
-            rebalance_bytes=s["rebalance.bytes"],
-        )
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    async def _replicate(self, key: int, serving: int, kind: str) -> int:
-        """Push ``key`` from ``serving`` until ``k`` running peers hold it.
-
-        The sim plane's preference order, verbatim: the serving peer's
-        current neighbors ascending, then every other id ascending.
-        """
-        server_node = self.overlay.nodes[serving]
+        key = push.key
+        server_node = self.overlay.nodes[push.source]
         store = server_node.content
         if store is None or not store.has_object(key):
             return 0
         manifest = store.manifest(key)
         chunks = [store.get_chunk(key, i) for i in range(manifest.n_chunks)]
-        holders = set(self.live_holders(key))
-        want = self._replica_target()
         pushed = 0
-        for target in self._target_order(server_node):
-            if len(holders) >= want:
-                break
+        for target in push.candidates:
             node = self.overlay.nodes[target]
-            if target in holders or not node.running:
-                continue
             if node.content is None:
                 node.content = ContentStore(node_id=target)
             sent = await push_object(server_node, node.host, node.port,
@@ -489,31 +395,25 @@ class LiveContent:
                 continue  # transfer failed (0 is a successful empty push)
             await self.overlay.settle()
             if not node.content.has_object(key):
-                continue  # push raced a teardown; try the next target
-            holders.add(target)
+                continue  # push raced a teardown; try the next candidate
             pushed += 1
             self.stats[f"{kind}.pushes"] += 1
             self.stats[f"{kind}.bytes"] += sent
             sm = server_node.metrics
             sm.counter(f"content.{kind}.pushes").inc()
             sm.counter(f"content.{kind}.bytes").inc(sent)
+            if pushed == push.need:
+                break
         return pushed
 
-    def _trim(self, key: int, live: List[int], k: int) -> None:
-        placed = set(self.placement.replicas(key))
-        keep = sorted(live, key=lambda n: (n not in placed, n))[:k]
-        for nid in sorted(set(live) - set(keep)):
-            node = self.overlay.nodes[nid]
-            node.content.drop_object(key)
-            node.store.discard(key)
-            self.stats["heal.trims"] += 1
-            node.metrics.counter("content.heal.trims").inc()
+    # ------------------------------------------------------------------
+    # Durability reporting (the policy's census, on process truth)
+    # ------------------------------------------------------------------
 
-    def _target_order(self, server_node: PeerNode):
-        nbrs = sorted(server_node.neighbors)
-        seen = set(nbrs)
-        seen.add(server_node.node_id)
-        yield from nbrs
-        for u in range(len(self.overlay.nodes)):
-            if u not in seen:
-                yield u
+    def record_sample(self, t: float) -> DurabilitySample:
+        """Census the plane at virtual time ``t`` and keep the sample."""
+        return self.policy.sample(t)
+
+    def durability_report(self) -> DurabilityReport:
+        """Final census + traffic ledger, shaped like the sim plane's."""
+        return self.policy.report()

@@ -20,27 +20,39 @@ then on it only *reacts*:
   restores (or trims to) exactly ``k`` live replicas whenever at least one
   live copy survives.
 
+Every replication decision above — the sweep, the push-target order, the
+trim keep-order, the rejoin worklist, the census — is made by
+:class:`repro.content.policy.ReplicationPolicy`; this class is its
+simulator executor: it answers the policy's questions about holders and
+liveness from the churn state, applies pushes and trims as
+:class:`~repro.content.store.ContentStore` writes, and counts bytes.
+
 Determinism: placement draws only from per-object derived streams
-(:func:`repro.content.placement.place_content`); repair and healing pick
-targets by a fixed preference order (the serving holder's overlay
-neighbors, then ascending node ids) and consume **no RNG at all**; fetch
-probes draw from the simulation's dedicated content child stream.  The
-churn trajectory is therefore bit-identical with or without a content
-plane attached, and with observability on or off
+(:func:`repro.content.placement.place_content`); the policy consumes **no
+RNG at all**; fetch probes draw from the simulation's dedicated content
+child stream.  The churn trajectory is therefore bit-identical with or
+without a content plane attached, and with observability on or off
 (``self.stats`` is the authoritative accounting; ``content.*`` metrics
 mirror it when a session is active).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
+                    Set, Tuple)
 
 import numpy as np
 
 from repro.content.manifest import ContentObject
 from repro.content.placement import ContentPlacement, place_content
+from repro.content.policy import (  # noqa: F401 - re-exported
+    DurabilityReport,
+    DurabilitySample,
+    Push,
+    ReplicationPolicy,
+    Trim,
+)
 from repro.content.store import ContentStore
 from repro.obs import runtime as _obs
 from repro.util.validation import check_positive
@@ -80,66 +92,6 @@ class ContentConfig:
             raise ValueError("fetch_ttl must be >= 1")
 
 
-@dataclass(frozen=True)
-class DurabilitySample:
-    """Replica health at one snapshot instant."""
-
-    time: float
-    availability: float
-    mean_live_replicas: float
-    n_degraded: int
-    n_unavailable: int
-    n_lost: int
-    fetch_success: float = float("nan")
-
-
-@dataclass(frozen=True)
-class DurabilityReport:
-    """End-of-run durability summary (the Table-2-style traffic ledger)."""
-
-    n_objects: int
-    k: int
-    availability: float
-    min_availability: float
-    mean_live_replicas: float
-    objects_lost: int
-    objects_degraded: int
-    heal_ticks: int
-    heal_pushes: int
-    heal_bytes: int
-    heal_trims: int
-    repair_pushes: int
-    repair_bytes: int
-    fetch_requests: int
-    fetch_hits: int
-    bytes_placed: int
-    rebalance_pushes: int = 0
-    rebalance_bytes: int = 0
-
-    def to_dict(self) -> dict:
-        """Plain-JSON form for CLI/bench reports."""
-        return {
-            "n_objects": self.n_objects,
-            "k": self.k,
-            "availability": self.availability,
-            "min_availability": self.min_availability,
-            "mean_live_replicas": self.mean_live_replicas,
-            "objects_lost": self.objects_lost,
-            "objects_degraded": self.objects_degraded,
-            "heal_ticks": self.heal_ticks,
-            "heal_pushes": self.heal_pushes,
-            "heal_bytes": self.heal_bytes,
-            "heal_trims": self.heal_trims,
-            "repair_pushes": self.repair_pushes,
-            "repair_bytes": self.repair_bytes,
-            "fetch_requests": self.fetch_requests,
-            "fetch_hits": self.fetch_hits,
-            "bytes_placed": self.bytes_placed,
-            "rebalance_pushes": self.rebalance_pushes,
-            "rebalance_bytes": self.rebalance_bytes,
-        }
-
-
 class ContentPlane:
     """Replica lifecycle manager for a churned overlay.
 
@@ -162,18 +114,10 @@ class ContentPlane:
         self.stores: List[ContentStore] = []
         #: ``key -> node ids holding a complete copy`` (online or not).
         self._holders: Dict[int, Set[int]] = {}
-        self._lost: Set[int] = set()
-        self.samples: List[DurabilitySample] = []
+        self.policy = ReplicationPolicy(self, self.config.k, list(self.objects))
         #: Authoritative accounting — identical with obs on or off.
-        self.stats: Dict[str, int] = {
-            "objects_placed": 0, "replicas_placed": 0, "bytes_placed": 0,
-            "crash_wipes": 0, "replicas_wiped": 0,
-            "fetch.requests": 0, "fetch.hits": 0, "fetch.failures": 0,
-            "repair.pushes": 0, "repair.bytes": 0,
-            "rebalance.pushes": 0, "rebalance.bytes": 0,
-            "heal.ticks": 0, "heal.pushes": 0, "heal.bytes": 0,
-            "heal.trims": 0, "objects_lost": 0,
-        }
+        self.stats = self.policy.stats
+        self.samples = self.policy.samples
         self._churn: Optional["ChurnSimulation"] = None
 
     # ------------------------------------------------------------------
@@ -186,7 +130,7 @@ class ContentPlane:
         n = churn.builder.n_nodes
         self.stores = [ContentStore(node_id=i) for i in range(n)]
         graph = churn.builder.adj.freeze()
-        self.placement = place_content(
+        self.placement = self.policy.placement = place_content(
             graph, list(self.objects), k=self.config.k,
             seed=self.config.placement_seed,
         )
@@ -236,44 +180,21 @@ class ContentPlane:
         """
         if not self.config.rebalance_on_join or self.placement is None:
             return 0
-        node = int(node)
-        pushed = 0
-        for key in self.placement.keys_placed_on(node):
-            if node in self._holders[key]:
-                continue  # disk survived (churn departure); nothing to move
-            live = self._live_holders(key)
-            if not live:
-                continue  # no live source; heal accounts the loss
-            obj = self.objects[key]
-            self._store(node, obj)
-            pushed += 1
-            self.stats["rebalance.pushes"] += 1
-            self.stats["rebalance.bytes"] += obj.size
-            _obs.count("content.rebalance.pushes")
-            _obs.count("content.rebalance.bytes", obj.size)
-            _obs.event(
-                "content.rebalance", key=key, source=min(live),
-                target=node, size=obj.size,
-            )
-        return pushed
+        return sum(self._push(push, "rebalance")
+                   for push in self.policy.rejoin(int(node)))
 
     def on_snapshot(self, t: float) -> None:
         """Record a durability sample (and run any configured fetch probes)."""
-        fetch_success = self._fetch_probes()
-        avail, mean_live, degraded, unavailable, lost = self._census()
-        self.samples.append(DurabilitySample(
-            time=t, availability=avail, mean_live_replicas=mean_live,
-            n_degraded=degraded, n_unavailable=unavailable, n_lost=lost,
-            fetch_success=fetch_success,
-        ))
-        _obs.record("content.replicas_live", t, mean_live)
-        _obs.record("content.availability_ts", t, avail)
-        _obs.gauge("content.availability", avail)
-        _obs.gauge("content.objects_degraded", degraded)
-        _obs.gauge("content.objects_lost", lost)
+        s = self.policy.sample(t, self._fetch_probes())
+        _obs.record("content.replicas_live", t, s.mean_live_replicas)
+        _obs.record("content.availability_ts", t, s.availability)
+        _obs.gauge("content.availability", s.availability)
+        _obs.gauge("content.objects_degraded", s.n_degraded)
+        _obs.gauge("content.objects_lost", s.n_lost)
         _obs.event(
-            "content.snapshot", t=t, availability=avail,
-            mean_live=mean_live, degraded=degraded, lost=lost,
+            "content.snapshot", t=t, availability=s.availability,
+            mean_live=s.mean_live_replicas, degraded=s.n_degraded,
+            lost=s.n_lost,
         )
 
     # ------------------------------------------------------------------
@@ -308,8 +229,8 @@ class ContentPlane:
             serving=serving, hops=hops,
         )
         if self.config.read_repair:
-            pushed = self._replicate(key, serving, kind="repair")
-            if pushed:
+            push = self.policy.repair(key, serving)
+            if push is not None and self._push(push, "repair"):
                 _obs.count("content.repair.objects")
         return data
 
@@ -323,7 +244,7 @@ class ContentPlane:
         online = churn.online
         if not online[source]:
             return None, -1
-        live = self._live_holders(key)
+        live = set(self.policy.live_holders(key))
         if source in live:
             return source, 0
         adj = churn.builder.adj
@@ -354,83 +275,49 @@ class ContentPlane:
     def heal(self) -> int:
         """One healing sweep: restore (or trim to) ``k`` live replicas.
 
-        Objects with zero live holders are skipped — offline copies may
-        churn back; only an empty holder set is a permanent loss, counted
-        once under ``objects_lost``.  Returns the number of pushes made.
+        Applies :meth:`ReplicationPolicy.sweep`'s decisions in order.
+        Objects with only offline copies wait — they may churn back; only
+        an empty holder set is a permanent loss, counted once under
+        ``objects_lost``.  Returns the number of pushes made.
         """
-        self.stats["heal.ticks"] += 1
         _obs.count("content.heal.ticks")
         pushes = 0
-        k = min(self.config.k, int(np.count_nonzero(self._churn.online)))
-        for key in self.placement.object_keys:
-            holders = self._holders[key]
-            if not holders:
-                if key not in self._lost:
-                    self._lost.add(key)
-                    self.stats["objects_lost"] += 1
-                    _obs.count("content.heal.objects_lost")
-                    _obs.event("content.lost", key=key)
-                continue
-            live = self._live_holders(key)
-            if not live:
-                continue  # only offline copies; nothing to push from yet
-            if len(live) < k:
-                pushes += self._replicate(key, min(live), kind="heal")
-            elif len(live) > k:
-                self._trim(key, live, k)
+        for decision in self.policy.sweep():
+            if isinstance(decision, Push):
+                pushes += self._push(decision, "heal")
+            elif isinstance(decision, Trim):
+                for node in decision.nodes:
+                    self.stores[node].drop_object(decision.key)
+                    self._holders[decision.key].discard(node)
+                    self.stats["heal.trims"] += 1
+                    _obs.count("content.heal.trims")
+            else:
+                _obs.count("content.heal.objects_lost")
+                _obs.event("content.lost", key=decision.key)
         return pushes
 
     def _heal_tick(self, sim) -> None:
         self.heal()
         sim.schedule(self.config.heal_interval, self._heal_tick, label="heal")
 
-    def _replicate(self, key: int, serving: int, kind: str) -> int:
-        """Push ``key`` from ``serving`` to new targets until ``k`` live.
-
-        Target preference is deterministic and RNG-free: the serving
-        holder's overlay neighbors in ascending id order, then every other
-        node ascending.  Only online non-holders qualify.
-        """
-        churn = self._churn
-        online = churn.online
-        obj = self.objects[key]
-        holders = self._holders[key]
-        live = self._live_holders(key)
-        want = min(self.config.k, int(np.count_nonzero(online)))
+    def _push(self, push: Push, kind: str) -> int:
+        """Write ``push.need`` copies, charged to ``kind``; returns pushes."""
+        obj = self.objects[push.key]
         pushed = 0
-        for target in self._target_order(serving):
-            if len(live) >= want:
-                break
-            if target in holders or not online[target]:
-                continue
+        for target in push.candidates:
             self._store(target, obj)
-            live.add(target)
             pushed += 1
             self.stats[f"{kind}.pushes"] += 1
             self.stats[f"{kind}.bytes"] += obj.size
             _obs.count(f"content.{kind}.pushes")
             _obs.count(f"content.{kind}.bytes", obj.size)
             _obs.event(
-                f"content.{kind}", key=key, source=serving, target=target,
-                size=obj.size,
+                f"content.{kind}", key=push.key, source=push.source,
+                target=target, size=obj.size,
             )
+            if pushed == push.need:
+                break
         return pushed
-
-    def _trim(self, key: int, live: Set[int], k: int) -> None:
-        """Drop surplus live replicas down to ``k``.
-
-        Keeps placed replicas over opportunistic ones, lower ids over
-        higher — the same preference order placement produced, so a
-        trimmed object converges back to its original holders when they
-        are alive.
-        """
-        placed = set(self.placement.replicas(key))
-        keep = sorted(live, key=lambda n: (n not in placed, n))[:k]
-        for node in sorted(live - set(keep)):
-            self.stores[node].drop_object(key)
-            self._holders[key].discard(node)
-            self.stats["heal.trims"] += 1
-            _obs.count("content.heal.trims")
 
     # ------------------------------------------------------------------
     # Reporting
@@ -438,32 +325,36 @@ class ContentPlane:
 
     def durability_report(self) -> DurabilityReport:
         """Summarize the run: final census, extremes, traffic ledger."""
-        avail, mean_live, degraded, _, lost = self._census()
-        min_avail = min(
-            (s.availability for s in self.samples), default=avail
-        )
-        s = self.stats
-        return DurabilityReport(
-            n_objects=len(self.objects), k=self.config.k,
-            availability=avail, min_availability=min(min_avail, avail),
-            mean_live_replicas=mean_live,
-            objects_lost=lost, objects_degraded=degraded,
-            heal_ticks=s["heal.ticks"], heal_pushes=s["heal.pushes"],
-            heal_bytes=s["heal.bytes"], heal_trims=s["heal.trims"],
-            repair_pushes=s["repair.pushes"], repair_bytes=s["repair.bytes"],
-            fetch_requests=s["fetch.requests"], fetch_hits=s["fetch.hits"],
-            bytes_placed=s["bytes_placed"],
-            rebalance_pushes=s["rebalance.pushes"],
-            rebalance_bytes=s["rebalance.bytes"],
-        )
+        return self.policy.report()
 
     def live_replica_count(self, key: int) -> int:
         """Number of online nodes currently holding ``key``."""
-        return len(self._live_holders(key))
+        return len(self.policy.live_holders(key))
+
+    # ------------------------------------------------------------------
+    # The policy's view of the simulated world (HolderView)
+    # ------------------------------------------------------------------
 
     def holders(self, key: int) -> Set[int]:
         """All nodes (online or not) holding a complete copy of ``key``."""
         return set(self._holders[key])
+
+    def is_live(self, node: int) -> bool:
+        """Whether ``node`` is online in the churn simulation."""
+        return bool(self._churn.online[node])
+
+    def n_live(self) -> int:
+        """Number of online nodes."""
+        return int(np.count_nonzero(self._churn.online))
+
+    def neighbors(self, node: int) -> Iterable[int]:
+        """``node``'s current overlay neighbours."""
+        return self._churn.builder.adj.neighbors(node)
+
+    @property
+    def n_nodes(self) -> int:
+        """Population size (offline nodes included)."""
+        return self._churn.builder.n_nodes
 
     # ------------------------------------------------------------------
     # Internals
@@ -472,40 +363,6 @@ class ContentPlane:
     def _store(self, node: int, obj: ContentObject) -> None:
         self.stores[node].put_object(obj.manifest, obj.chunks)
         self._holders[obj.key].add(node)
-
-    def _live_holders(self, key: int) -> Set[int]:
-        online = self._churn.online
-        return {h for h in self._holders[key] if online[h]}
-
-    def _target_order(self, serving: int):
-        """Deterministic push-target preference (no RNG)."""
-        adj = self._churn.builder.adj
-        nbrs = sorted(adj.neighbors(serving))
-        seen = set(nbrs)
-        seen.add(serving)
-        yield from nbrs
-        for u in range(self._churn.builder.n_nodes):
-            if u not in seen:
-                yield u
-
-    def _census(self) -> Tuple[float, float, int, int, int]:
-        """(availability, mean live replicas, degraded, unavailable, lost)."""
-        n = len(self.objects)
-        live_total = 0
-        available = degraded = unavailable = lost = 0
-        for key in self.objects:
-            holders = self._holders[key]
-            live = len(self._live_holders(key))
-            live_total += live
-            if live > 0:
-                available += 1
-                if live < self.config.k:
-                    degraded += 1
-            elif holders:
-                unavailable += 1
-            else:
-                lost += 1
-        return available / n, live_total / n, degraded, unavailable, lost
 
     def _fetch_probes(self) -> float:
         """Seeded end-to-end fetch probes (content child stream only)."""

@@ -31,6 +31,7 @@ from repro.faults.scenario import (
     PartitionEvent,
     StaleViewEvent,
     load_scenario,
+    pick_crash_victims,
 )
 
 __all__ = [
@@ -47,5 +48,6 @@ __all__ = [
     "drop_mask",
     "load_scenario",
     "message_hash",
+    "pick_crash_victims",
     "rate_threshold",
 ]

@@ -30,6 +30,7 @@ from repro.faults.scenario import (
     LossWindow,
     PartitionEvent,
     StaleViewEvent,
+    pick_crash_victims,
 )
 from repro.obs import runtime as _obs
 
@@ -154,15 +155,8 @@ class FaultInjector:
         if k == 0 or online_ids.size == 0:
             _obs.event("faults.crash_empty", t=churn._sim.now)
             return
-        if ev.mode == "top-degree":
-            degs = np.array(
-                [churn.builder.adj.degree(int(u)) for u in online_ids]
-            )
-            order = np.argsort(-degs, kind="stable")
-            victims = online_ids[order[:k]]
-        elif ev.mode == "random":
-            victims = self.rng.choice(online_ids, size=k, replace=False)
-        else:  # stub-correlated: whole access domains go dark at once
+        if ev.mode == "stub-correlated":
+            # whole access domains go dark at once
             stubs = np.asarray(churn.builder.model.stub_of_node)
             node_stub = stubs[online_ids]
             picked: list[int] = []
@@ -171,6 +165,10 @@ class FaultInjector:
                 if len(picked) >= k:
                     break
             victims = np.asarray(picked, dtype=np.int64)
+        else:
+            victims = pick_crash_victims(
+                ev.mode, k, online_ids, churn.builder.adj.degree, self.rng,
+            )
         survivors = churn.crash_nodes(victims, rejoin=ev.rejoin)
         self.counts["crashes"] += 1
         self.counts["crash_victims"] += int(len(victims))

@@ -22,7 +22,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from repro.obs.report import UnsupportedSchemaError
 from repro.util.validation import check_probability
@@ -68,6 +70,29 @@ class CrashEvent:
             raise ValueError(
                 f"crash mode must be one of {CRASH_MODES}, got {self.mode!r}"
             )
+
+
+def pick_crash_victims(
+    mode: str, k: int, ids: Sequence[int],
+    degree_of: Callable[[int], int], rng: np.random.Generator,
+) -> np.ndarray:
+    """The ``k`` victims a ``top-degree`` or ``random`` crash takes.
+
+    ``ids`` are the candidates (the nodes up right now), ascending.
+    ``top-degree`` ranks them by ``degree_of`` descending, ties toward
+    the lower id, and consumes no randomness; ``random`` is one
+    ``rng.choice`` without replacement, returned in draw order.  The one
+    victim rule of the simulator's injector and the live churn driver —
+    ``stub-correlated`` needs a transit-stub substrate and stays with the
+    injector.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    if mode == "top-degree":
+        degs = np.array([degree_of(int(u)) for u in ids])
+        return ids[np.argsort(-degs, kind="stable")[:k]]
+    if mode == "random":
+        return rng.choice(ids, size=k, replace=False)
+    raise ValueError(f"no substrate-free victim rule for mode {mode!r}")
 
 
 @dataclass(frozen=True)

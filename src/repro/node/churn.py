@@ -43,7 +43,11 @@ import numpy as np
 
 from repro.content.live import LiveContent
 from repro.content.plane import ContentConfig, DurabilityReport, DurabilitySample
-from repro.faults.scenario import CrashEvent, FaultScenario
+from repro.faults.scenario import (
+    CrashEvent,
+    FaultScenario,
+    pick_crash_victims,
+)
 from repro.node.boot import LiveOverlay
 
 #: Fault families the live driver cannot inject (yet); events of these
@@ -187,19 +191,17 @@ class LiveChurnDriver:
         self._seq += 1
 
     def _pick_victims(self, ev: CrashEvent) -> List[int]:
-        """The injector's victim policy, on live link-table degrees."""
+        """The injector's victim rule, on live link-table degrees."""
         running = [n.node_id for n in self.overlay.nodes if n.running]
         k = int(round(ev.fraction * len(running)))
-        if k == 0 or not running:
+        if k == 0:
             return []
-        if ev.mode == "top-degree":
-            degs = {u: len(self.overlay.nodes[u].neighbors)
-                    for u in running}
-            order = sorted(running, key=lambda u: (-degs[u], u))
-            return order[:k]
-        arr = np.asarray(running, dtype=np.int64)
-        picks = self._rng.choice(arr, size=k, replace=False)
-        return sorted(int(v) for v in picks)
+        victims = pick_crash_victims(
+            ev.mode, k, running,
+            lambda u: len(self.overlay.nodes[u].neighbors), self._rng,
+        ).tolist()
+        # a random draw is killed in id order; hubs in rank order
+        return sorted(victims) if ev.mode == "random" else victims
 
     # ------------------------------------------------------------------
     # Execution

@@ -75,6 +75,15 @@ class TestSeeding:
         with pytest.raises(ValueError):
             LiveContent(overlay, objects, placement)
 
+    def test_config_k_must_match_placement_k(self):
+        # healing/trimming toward a replica count nothing was placed at
+        # is a construction error, not a silent mode
+        graph, objects, placement = _setup(k=K)
+        overlay = LiveOverlay(graph)
+        with pytest.raises(ValueError, match="k="):
+            LiveContent(overlay, objects, placement, ContentConfig(k=K + 1))
+        assert LiveContent(overlay, objects, placement).config.k == K
+
 
 class TestWireTransfer:
     def test_fetch_object_moves_verified_bytes(self):
@@ -199,9 +208,7 @@ class TestKillAndRepair:
                     if victim in lc.live_holders(obj.key):
                         victim_keys.add(obj.key)
                 await overlay.nodes[victim].stop()
-                lc.start_healing(interval=0.05)
-                await asyncio.sleep(0.3)
-                await lc.stop_healing()
+                await lc.heal()
                 for obj in objects:
                     assert lc.live_replica_count(obj.key) == K
                 # exactly one push per object the victim held, no trims
