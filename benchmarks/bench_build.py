@@ -1,24 +1,18 @@
 #!/usr/bin/env python
 """Wall-time benchmark for Makalu construction and repair engines.
 
-Times the three rating/maintenance engines on the identical workload —
-same substrate, same seeds, same failure schedule — across the phases of
-an overlay's life:
+Times the two refinement engines on the identical workload — same
+substrate, same seeds, same failure schedule — across the phases of an
+overlay's life:
 
-* ``legacy`` — the seed builder's behaviour: scalar ``rate_neighbors``
-  on every Manage() decision (``use_rating_cache=False``) and, during
-  the repair phase, the old O(n) joined-roster rebuild emulated with a
-  mirror plain list that is filtered per failure event inside the timed
-  region;
-* ``cached`` — the incremental :class:`repro.core.rating_cache.RatingCache`
-  (default config).  Ratings are bit-identical to ``legacy``, so both
-  arms must produce the *same overlay, bit for bit* — the script fails
-  otherwise, which is what makes the timings comparable;
-* ``batch`` — the cache plus vectorized synchronous refinement rounds
+* ``sequential`` — the default builder: the per-node protocol replay,
+  scalar ``rate_neighbors`` on every Manage() decision;
+* ``batch`` — vectorized synchronous refinement rounds
   (``refine_mode="batch"``, :mod:`repro.core.batch_refine`).  Batch
   overlays differ edge-for-edge (different RNG consumption), so this arm
-  is gated on structural health instead: mean degree within 5% of
-  ``legacy``, one giant component, and comparable algebraic connectivity.
+  is gated on structural health: mean degree within 5% of
+  ``sequential``, one giant component, and comparable algebraic
+  connectivity.
 
 Phases per arm: **join** (all nodes bootstrap), **refine**
 (``refinement_rounds`` management rounds), **fill** (under-capacity
@@ -29,8 +23,9 @@ Results are *appended* to the run history in ``BENCH_build.json``
 (``{"schema_version": 2, "runs": [...]}`` — the same accumulating layout
 as ``scripts/bench_smoke.py``, understood by ``repro obs diff`` and
 ``repro obs report``).  Each record carries wall times per phase and arm,
-``speedup_vs_scalar`` ratios (the legacy arm is the scalar reference),
-and the health metrics of every arm.
+``speedup_vs_scalar`` ratios (the sequential arm is the scalar
+reference; ``build_batch`` is the end-to-end join+refine+fill ratio),
+and the health metrics of both arms.
 
 Usage::
 
@@ -62,17 +57,13 @@ from repro.netmodel import EuclideanModel  # noqa: E402
 
 MODEL_SEED, GRAPH_SEED, FAILURE_SEED = 4205, 4305, 4405
 
-ARMS = {
-    "legacy": dict(use_rating_cache=False),
-    "cached": dict(use_rating_cache=True),
-    "batch": dict(use_rating_cache=True, refine_mode="batch"),
-}
+ARMS = ("sequential", "batch")
 
 
 def run_arm(name: str, n_nodes: int, victims: np.ndarray) -> dict:
     """Build + repair under one engine; returns phase times and the graph."""
     model = EuclideanModel(n_nodes, seed=MODEL_SEED)
-    config = MakaluConfig(**ARMS[name])
+    config = MakaluConfig(refine_mode=name)
     builder = MakaluBuilder(model=model, config=config, seed=GRAPH_SEED)
     out: dict = {"name": name}
 
@@ -92,20 +83,12 @@ def run_arm(name: str, n_nodes: int, victims: np.ndarray) -> dict:
     out["built_graph"] = builder.adj.freeze()
 
     # Repair phase: sequential single-node failure events, as churn
-    # delivers them.  The legacy arm additionally pays the seed's O(n)
-    # roster rebuild per event, emulated on a mirror plain list (the
-    # builder itself now keeps a tombstoned roster; the mirror restores
-    # the old cost inside the timed region).
-    mirror = builder._joined.to_array().tolist() if name == "legacy" else None
+    # delivers them.
     t4 = time.perf_counter()
     for v in victims.tolist():
         repair_after_failure(builder, [v], rejoin=True, max_passes=1)
-        if mirror is not None:
-            failed_set = {v}
-            mirror = [x for x in mirror if x not in failed_set]
     t5 = time.perf_counter()
 
-    out["graph"] = builder.adj.freeze()
     out["join_s"] = t1 - t0
     out["refine_s"] = t2 - t1
     out["fill_s"] = t3 - t2
@@ -128,14 +111,6 @@ def health_of(graph, spectral: bool) -> dict:
     return h
 
 
-def graphs_identical(a, b) -> bool:
-    return (
-        np.array_equal(a.indptr, b.indptr)
-        and np.array_equal(a.indices, b.indices)
-        and np.array_equal(a.latency, b.latency)
-    )
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, default=3000,
@@ -149,7 +124,7 @@ def main(argv=None) -> int:
                         help="skip the algebraic-connectivity health check")
     parser.add_argument("--metrics-json", default=None,
                         help="also write the obs metrics snapshot "
-                             "(rating_cache.* counters etc.) to this path")
+                             "(makalu.* counters etc.) to this path")
     args = parser.parse_args(argv)
 
     session = obs.configure() if args.metrics_json else None
@@ -160,7 +135,7 @@ def main(argv=None) -> int:
 
     results = {}
     for name in ARMS:
-        print(f"running {name:6s} arm (n={args.nodes}, "
+        print(f"running {name:10s} arm (n={args.nodes}, "
               f"{victims.size} failure events) ...", flush=True)
         results[name] = run_arm(name, args.nodes, victims)
         r = results[name]
@@ -172,21 +147,12 @@ def main(argv=None) -> int:
         session.metrics.write_json(args.metrics_json)
         print(f"metrics snapshot written to {args.metrics_json}")
 
-    # The cache is an engine swap: its arm must reproduce the legacy
-    # overlay exactly (the same joins, swaps, prunes, and repairs).
-    if not graphs_identical(results["legacy"]["graph"],
-                            results["cached"]["graph"]):
-        print("FAIL: cached arm diverged from the legacy overlay",
-              file=sys.stderr)
-        return 1
-    print("  legacy and cached overlays bit-identical")
-
     health = {name: health_of(r["built_graph"], spectral)
               for name, r in results.items()}
-    ref, bat = health["legacy"], health["batch"]
+    ref, bat = health["sequential"], health["batch"]
     if abs(bat["mean_degree"] - ref["mean_degree"]) > 0.05 * ref["mean_degree"]:
         print(f"FAIL: batch mean degree {bat['mean_degree']} strays >5% "
-              f"from legacy {ref['mean_degree']}", file=sys.stderr)
+              f"from sequential {ref['mean_degree']}", file=sys.stderr)
         return 1
     if bat["giant_fraction"] < 0.999:
         print(f"FAIL: batch overlay fragmented "
@@ -194,24 +160,23 @@ def main(argv=None) -> int:
         return 1
     if spectral and bat["lambda2"] < 0.5 * ref["lambda2"]:
         print(f"FAIL: batch lambda2 {bat['lambda2']} below half of "
-              f"legacy {ref['lambda2']}", file=sys.stderr)
+              f"sequential {ref['lambda2']}", file=sys.stderr)
         return 1
-    print("  batch overlay health matches legacy "
+    print("  batch overlay health matches sequential "
           f"(mean_deg {bat['mean_degree']} vs {ref['mean_degree']})")
 
     wall = {}
     for name, r in results.items():
-        for phase in ("join", "refine", "fill", "repair"):
+        for phase in ("join", "refine", "fill", "repair", "build"):
             wall[f"{phase}_{name}"] = round(1000 * r[f"{phase}_s"], 1)
         wall[f"refine_repair_{name}"] = round(
             1000 * (r["refine_s"] + r["repair_s"]), 1
         )
     speedups = {}
-    for name in ("cached", "batch"):
-        for phase in ("refine", "repair", "refine_repair"):
-            legacy_ms, arm_ms = wall[f"{phase}_legacy"], wall[f"{phase}_{name}"]
-            if arm_ms > 0:
-                speedups[f"{phase}_{name}"] = round(legacy_ms / arm_ms, 2)
+    for phase in ("build", "refine", "repair", "refine_repair"):
+        scalar_ms, batch_ms = wall[f"{phase}_sequential"], wall[f"{phase}_batch"]
+        if batch_ms > 0:
+            speedups[f"{phase}_batch"] = round(scalar_ms / batch_ms, 2)
 
     record = {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
@@ -228,13 +193,12 @@ def main(argv=None) -> int:
         "wall_time_ms": wall,
         "speedup_vs_scalar": speedups,
         "health": health,
-        "bit_identical": True,
     }
     history = append_run(args.out, record)
     print(f"appended run {len(history['runs'])} to {args.out}")
-    print(f"refine+repair speedup vs scalar: "
-          f"cached {speedups.get('refine_repair_cached', 0):.2f}x, "
-          f"batch {speedups.get('refine_repair_batch', 0):.2f}x")
+    print(f"batch speedup vs scalar: "
+          f"build (join+refine+fill) {speedups.get('build_batch', 0):.2f}x, "
+          f"refine {speedups.get('refine_batch', 0):.2f}x")
     return 0
 
 

@@ -46,7 +46,6 @@ from repro.core import (
     MakaluBuilder,
     MakaluConfig,
     MembershipService,
-    RatingCache,
     RatingWeights,
     makalu_graph,
     rate_neighbors,
@@ -123,7 +122,6 @@ __all__ = [
     # core
     "MakaluBuilder",
     "MakaluConfig",
-    "RatingCache",
     "RatingWeights",
     "makalu_graph",
     "rate_neighbors",

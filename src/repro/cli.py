@@ -75,8 +75,6 @@ def _make_overlay(args):
     topology = getattr(args, "topology", "makalu")
     if topology == "makalu":
         config = MakaluConfig(
-            use_rating_cache=not getattr(args, "no_rating_cache", False),
-            rating_crosscheck=getattr(args, "rating_crosscheck", False),
             refine_mode=getattr(args, "refine_mode", "sequential"),
         )
         return makalu_graph(model=model, config=config, seed=args.seed + 1)
@@ -810,13 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=["makalu", "kregular", "powerlaw", "twotier"],
                 default="makalu",
             )
-            p.add_argument("--no-rating-cache", action="store_true",
-                           help="rate neighbors with the scalar kernel "
-                                "instead of the incremental rating cache "
-                                "(same ratings, slower)")
-            p.add_argument("--rating-crosscheck", action="store_true",
-                           help="verify every cached rating against the "
-                                "scalar kernel (debugging; very slow)")
             p.add_argument("--refine-mode",
                            choices=["sequential", "batch"],
                            default="sequential",

@@ -15,12 +15,9 @@ from repro.core.maintenance import (
     repair_after_failure,
 )
 from repro.core.rating import RatingWeights, node_boundary, rate_neighbors, unique_reachable
-from repro.core.rating_cache import RatingCache, RatingCacheMismatch
 
 __all__ = [
     "RatingWeights",
-    "RatingCache",
-    "RatingCacheMismatch",
     "rate_neighbors",
     "unique_reachable",
     "node_boundary",

@@ -3,12 +3,11 @@
 The sequential refinement loop (`MakaluBuilder.refine`) replays the live
 protocol one node at a time: walk, attempt, provisionally rate, prune.
 That is faithful but irreducibly Python-bound — at 50k+ nodes a single
-round spends minutes in per-node dict work even with the incremental
-:class:`~repro.core.rating_cache.RatingCache` answering the ratings.
+round spends minutes in per-node dict work.
 
-This module is the batch path the rating engine exposes for refinement:
-one round is computed *synchronously* against a frozen snapshot of the
-overlay, with every stage vectorized across all nodes at once —
+This module is the batch path for refinement: one round is computed
+*synchronously* against a frozen snapshot of the overlay, with every
+stage vectorized across all nodes at once —
 
 1. **walks**: all candidate-gathering random walks advance together as
    NumPy index gathers over the CSR (one RNG draw array per step);
@@ -331,10 +330,6 @@ def _apply_edge_diff(builder, G: OverlayGraph, new_keys, new_lat) -> None:
     removed = np.setdiff1d(old_keys, new_keys, assume_unique=True)
     added = ~np.isin(new_keys, old_keys, assume_unique=True)
 
-    # Rebuilding a round's worth of edges through per-entry cache deltas
-    # would cost more than re-warming from scratch — flush instead.
-    if builder.rating_cache is not None:
-        builder.rating_cache.clear()
     adj = builder.adj
     for k in removed.tolist():
         adj.remove_edge(k // n, k % n)

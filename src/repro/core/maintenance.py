@@ -26,7 +26,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from repro.core.rating import RatingWeights, rate_neighbors, worst_neighbor
-from repro.core.rating_cache import RatingCache
 from repro.obs import runtime as _obs
 from repro.topology.graph import AdjacencyBuilder
 from repro.util.validation import check_positive
@@ -37,31 +36,22 @@ def prune_to_capacity(
     node: int,
     capacity: int,
     weights: RatingWeights = RatingWeights(),
-    cache: Optional[RatingCache] = None,
 ) -> list[int]:
     """Prune ``node``'s lowest-rated neighbors until within ``capacity``.
 
     Returns the pruned neighbor ids, in pruning order.  Ratings are
     recomputed after every removal, as in the protocol — dropping a neighbor
-    changes both the node boundary and d_max.  With ``cache`` (a
-    :class:`~repro.core.rating_cache.RatingCache` observing ``adj``) each
-    recomputation is an O(degree) cached evaluation, bit-identical to the
-    scalar kernel.
+    changes both the node boundary and d_max.
     """
     if capacity < 0:
         raise ValueError(f"capacity must be >= 0, got {capacity}")
-    if cache is not None and cache.adj is not adj:
-        raise ValueError("cache observes a different adjacency than adj")
     pruned: list[int] = []
     while adj.degree(node) > capacity:
         with _obs.span("maintenance.rating"):
-            if cache is not None:
-                ratings = cache.ratings(node)
-            else:
-                ratings = rate_neighbors(
-                    node, adj.neighbors(node),
-                    lambda v: adj.neighbors(v).keys(), weights,
-                )
+            ratings = rate_neighbors(
+                node, adj.neighbors(node),
+                lambda v: adj.neighbors(v).keys(), weights,
+            )
         victim = worst_neighbor(ratings)
         adj.remove_edge(node, victim)
         pruned.append(victim)
@@ -89,8 +79,7 @@ def handle_capacity_change(
     builder.capacities[node] = new_capacity
     if new_capacity < old:
         pruned = prune_to_capacity(
-            builder.adj, node, new_capacity, builder.config.weights,
-            cache=getattr(builder, "rating_cache", None),
+            builder.adj, node, new_capacity, builder.config.weights
         )
         for victim in pruned:
             if builder.adj.degree(victim) < builder.config.min_degree_floor:
@@ -119,14 +108,6 @@ def repair_after_failure(
     failed = np.unique(np.asarray(list(failed), dtype=np.int64))
     failed_set = set(failed.tolist())
     adj = builder.adj
-
-    # Drop failed nodes' rating state *before* tearing their edges down:
-    # nobody will rate a dead node again, and a dropped entry costs the
-    # teardown loop nothing while a live one would absorb O(degree) deltas
-    # per removed edge.
-    cache = getattr(builder, "rating_cache", None)
-    if cache is not None:
-        cache.drop_many(failed_set)
 
     bereaved: set[int] = set()
     for f in failed:

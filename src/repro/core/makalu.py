@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.membership import MembershipService
 
 from repro.core.rating import RatingWeights, rate_neighbors, worst_neighbor
-from repro.core.rating_cache import RatingCache
 from repro.netmodel.base import NetworkModel
 from repro.obs import runtime as _obs
 from repro.topology.graph import AdjacencyBuilder, OverlayGraph
@@ -71,15 +70,6 @@ class MakaluConfig:
         disconnected peers rejoin through the host cache).
     weights:
         alpha/beta weighting of the rating function.
-    use_rating_cache:
-        Rate neighbors through the incremental
-        :class:`~repro.core.rating_cache.RatingCache` instead of the scalar
-        kernel.  Ratings (and hence every build decision) are bit-identical
-        either way; the cache turns each rating from a full neighborhood
-        re-walk into an O(degree) evaluation.
-    rating_crosscheck:
-        Re-derive every cached rating through the scalar kernel and raise
-        on any bitwise difference.  Exact but slow — tests/debugging only.
     refine_mode:
         ``"sequential"`` (default) replays refinement one node at a time,
         exactly as the live protocol interleaves; ``"batch"`` computes each
@@ -102,8 +92,6 @@ class MakaluConfig:
     fill_rounds: int = 4
     min_degree_floor: int = 2
     weights: RatingWeights = field(default_factory=RatingWeights)
-    use_rating_cache: bool = True
-    rating_crosscheck: bool = False
     refine_mode: str = "sequential"
 
     def __post_init__(self):
@@ -187,17 +175,6 @@ class MakaluBuilder:
             )
 
         self.adj = AdjacencyBuilder(self.n_nodes)
-        #: Incremental rating engine kept in sync with ``adj`` through its
-        #: mutation observer; ``None`` when disabled by config.
-        self.rating_cache: Optional[RatingCache] = (
-            RatingCache(
-                self.adj,
-                weights=self.config.weights,
-                cross_check=self.config.rating_crosscheck,
-            )
-            if self.config.use_rating_cache
-            else None
-        )
         self._joined_roster = TombstoneList()
         self._repair_queue: deque[int] = deque()
         #: Optional per-node host caches (see repro.core.membership).  When
@@ -265,13 +242,10 @@ class MakaluBuilder:
         bootstrap into the overlay at all.
         """
         with _obs.span("makalu.rating"):
-            if self.rating_cache is not None:
-                ratings = self.rating_cache.ratings(x)
-            else:
-                ratings = rate_neighbors(
-                    x, self.adj.neighbors(x), self._neighborhood_of,
-                    self.config.weights,
-                )
+            ratings = rate_neighbors(
+                x, self.adj.neighbors(x), self._neighborhood_of,
+                self.config.weights,
+            )
         _obs.count("makalu.rating_calls")
         sparable = {v: r for v, r in ratings.items() if self.adj.degree(v) > 1}
         victim = worst_neighbor(sparable if sparable else ratings)
@@ -408,13 +382,6 @@ class MakaluBuilder:
             return
         nodes = self._joined.to_array()
         for r in range(rounds):
-            if self.rating_cache is not None:
-                # Prime the round: one vectorized pass builds rating state
-                # for every node not yet cached, so the swap storm below
-                # runs on O(degree) cache hits instead of cold rebuilds.
-                # Builds no RNG state and changes no ratings — the
-                # trajectory is identical with the cache off.
-                self.rating_cache.warm(nodes.tolist())
             with _obs.span("makalu.refine_round"):
                 order = self.rng.permutation(nodes)
                 for u in order:

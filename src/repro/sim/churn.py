@@ -407,9 +407,6 @@ class ChurnSimulation:
         _obs.count("churn.snapshots")
         _obs.gauge("churn.online_nodes", snap.n_online)
         _obs.gauge("churn.giant_fraction", snap.giant_fraction)
-        cache = getattr(self.builder, "rating_cache", None)
-        if cache is not None:
-            _obs.gauge("rating_cache.entries", len(cache))
         _obs.event(
             "churn.snapshot", t=sim.now, online=snap.n_online,
             components=snap.n_components, giant=snap.giant_fraction,

@@ -324,13 +324,6 @@ class AdjacencyBuilder:
         self._n_nodes = n_nodes
         self._adj: list[Dict[int, float]] = [dict() for _ in range(n_nodes)]
         self._n_edges = 0
-        #: Optional mutation observer with ``edge_added(u, v)`` /
-        #: ``edge_removed(u, v)`` methods, called *after* each mutation.
-        #: The incremental rating cache (repro.core.rating_cache) installs
-        #: itself here so every prune/accept/repair path keeps it in sync
-        #: without the callers knowing it exists.  One observer only — the
-        #: disabled path is a single ``is None`` test per mutation.
-        self.observer = None
 
     @property
     def n_nodes(self) -> int:
@@ -365,8 +358,6 @@ class AdjacencyBuilder:
         self._adj[u][v] = latency
         self._adj[v][u] = latency
         self._n_edges += 1
-        if self.observer is not None:
-            self.observer.edge_added(u, v)
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete edge ``(u, v)``; raises if absent."""
@@ -375,8 +366,6 @@ class AdjacencyBuilder:
         del self._adj[u][v]
         del self._adj[v][u]
         self._n_edges -= 1
-        if self.observer is not None:
-            self.observer.edge_removed(u, v)
 
     def freeze(self) -> OverlayGraph:
         """Snapshot into a frozen CSR :class:`OverlayGraph`."""

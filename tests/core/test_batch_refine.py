@@ -109,20 +109,6 @@ class TestBatchRounds:
         fwd = set(zip(src.tolist(), G.indices.tolist()))
         assert all((v, u) in fwd for u, v in fwd)
 
-    def test_cache_stays_coherent_through_batch_rounds(self):
-        """After the bulk edge diff, the rating cache must still agree
-        with the scalar kernel (it is flushed, then lazily rebuilt)."""
-        model = EuclideanModel(250, seed=6)
-        config = MakaluConfig(refine_mode="batch", rating_crosscheck=True)
-        b = MakaluBuilder(model=model, config=config, seed=5)
-        order = b.rng.permutation(b.n_nodes)
-        for u in order:
-            b.join(int(u))
-        batch_refine_round(b)
-        for u in range(0, b.n_nodes, 7):
-            if b.adj.degree(u):
-                b.rating_cache.ratings(u)  # cross_check raises on drift
-
     def test_node_limit_guard(self):
         b = MakaluBuilder(n_nodes=4, seed=0)
         b.n_nodes_backup = b.adj.n_nodes

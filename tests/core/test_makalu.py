@@ -1,9 +1,16 @@
 """Tests for repro.core.makalu."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core import MakaluBuilder, MakaluConfig, makalu_graph
+from repro.core import (
+    MakaluBuilder,
+    MakaluConfig,
+    makalu_graph,
+    repair_after_failure,
+)
 from repro.core.rating import RatingWeights
 from repro.netmodel import EuclideanModel
 
@@ -151,3 +158,34 @@ class TestFill:
         after = b.adj.freeze()
         assert after.degrees.min() >= before
         assert after.degrees.mean() >= 0.8 * b.capacities.mean()
+
+
+def _overlay_digest(G) -> str:
+    h = hashlib.sha256()
+    for a in (G.indptr, G.indices, G.latency):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestSeededOverlayGolden:
+    """The default build and a repair on it, pinned bit for bit.
+
+    Digests recorded at commit 5b83c62, when the sequential protocol
+    still rated through the incremental cache: the scalar kernel must
+    keep reproducing those overlays exactly.
+    """
+
+    GOLDEN = {
+        0: ("6b4de0b663f27592a0cbffbc6c1e6134a1637ee9ff8e7fb1f32348de7f51448c",
+            "f643f4b25b28cf7ffd3e44ceecbe2f6bd80a91b24fbb5b62d04d78e541cd93bc"),
+        7: ("b2b7cb51ab813afe05c370294936aa1c35723c057c7fdaf7604abb590e912eed",
+            "0932bb65a37030f3f22e47b7e86a8c2e18676ea53a5df07c25385952154bf5ca"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_build_then_repair_digests(self, seed):
+        built, repaired = self.GOLDEN[seed]
+        b = MakaluBuilder(EuclideanModel(220, seed=3), seed=seed)
+        assert _overlay_digest(b.build()) == built
+        repair_after_failure(b, [3, 11, 19])
+        assert _overlay_digest(b.adj.freeze()) == repaired
