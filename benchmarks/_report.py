@@ -11,10 +11,17 @@ When an observability session is active (``REPRO_BENCH_OBS=1``, see
 ``conftest.py``), every table is followed by the metric deltas the
 experiment produced, so persisted BENCH results carry instrumentation
 alongside the headline numbers.
+
+The standalone ``bench_*.py`` scripts that keep a ``BENCH_*.json`` run
+history share :func:`append_run` and :func:`git_sha` from here.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
 from typing import Iterable, List, Optional, Sequence
 
 from repro import obs
@@ -88,3 +95,43 @@ def _fmt(value: object) -> str:
             return f"{value:.2f}"
         return f"{value:.4f}"
     return str(value)
+
+
+def git_sha() -> str:
+    """The current commit, or "unknown" outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            capture_output=True, text=True, timeout=10,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+        )
+    except OSError:
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def append_run(path: str, record: dict) -> dict:
+    """Append ``record`` to the run history at ``path`` (created if absent).
+
+    Histories are ``{"schema_version": 2, "runs": [...]}``, newest last, so
+    successive runs accumulate instead of overwriting each other.
+    Unreadable files are preserved under ``<path>.corrupt`` rather than
+    silently clobbered.
+    """
+    history = {"schema_version": 2, "runs": []}
+    if os.path.exists(path):
+        try:
+            with open(path) as fh:
+                old = json.load(fh)
+        except ValueError:
+            os.replace(path, path + ".corrupt")
+            print(f"warning: unreadable {path} moved to {path}.corrupt",
+                  file=sys.stderr)
+            old = None
+        if isinstance(old, dict) and isinstance(old.get("runs"), list):
+            history["runs"] = old["runs"]
+    history["runs"].append(record)
+    with open(path, "w") as fh:
+        json.dump(history, fh, indent=2)
+        fh.write("\n")
+    return history

@@ -20,8 +20,8 @@ top-up), **repair** (a schedule of sequential single-node failure events,
 each followed by survivor recovery via ``repair_after_failure``).
 
 Results are *appended* to the run history in ``BENCH_build.json``
-(``{"schema_version": 2, "runs": [...]}`` — the same accumulating layout
-as ``scripts/bench_smoke.py``, understood by ``repro obs diff`` and
+(``{"schema_version": 2, "runs": [...]}`` — the accumulating layout of
+``_report.append_run``, understood by ``repro obs diff`` and
 ``repro obs report``).  Each record carries wall times per phase and arm,
 ``speedup_vs_scalar`` ratios (the sequential arm is the scalar
 reference; ``build_batch`` is the end-to-end join+refine+fill ratio),
@@ -45,15 +45,13 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "scripts"))
-from bench_smoke import append_run, git_sha  # noqa: E402
+from _report import append_run, git_sha
 
-from repro import obs  # noqa: E402
-from repro.analysis import algebraic_connectivity  # noqa: E402
-from repro.core.maintenance import repair_after_failure  # noqa: E402
-from repro.core.makalu import MakaluBuilder, MakaluConfig  # noqa: E402
-from repro.netmodel import EuclideanModel  # noqa: E402
+from repro import obs
+from repro.analysis import algebraic_connectivity
+from repro.core.maintenance import repair_after_failure
+from repro.core.makalu import MakaluBuilder, MakaluConfig
+from repro.netmodel import EuclideanModel
 
 MODEL_SEED, GRAPH_SEED, FAILURE_SEED = 4205, 4305, 4405
 

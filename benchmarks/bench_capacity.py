@@ -47,18 +47,16 @@ import time
 
 import numpy as np
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "scripts"))
-from bench_smoke import append_run, git_sha  # noqa: E402
+from _report import append_run, git_sha
 
-from repro import obs  # noqa: E402
-from repro.core import makalu_graph  # noqa: E402
-from repro.netmodel import EuclideanModel  # noqa: E402
-from repro.search import place_objects  # noqa: E402
-from repro.sim import draw_workload_sources, saturation_sweep  # noqa: E402
-from repro.topology import powerlaw_graph  # noqa: E402
-from repro.trace import GNUTELLA_2006  # noqa: E402
-from repro.trace.workload import generate_workload  # noqa: E402
+from repro import obs
+from repro.core import makalu_graph
+from repro.netmodel import EuclideanModel
+from repro.search import place_objects
+from repro.sim import draw_workload_sources, saturation_sweep
+from repro.topology import powerlaw_graph
+from repro.trace import GNUTELLA_2006
+from repro.trace.workload import generate_workload
 
 MODEL_SEED, GRAPH_SEED, PLACE_SEED = 7100, 7101, 7102
 WORKLOAD_SEED, SOURCE_SEED = 7103, 7104

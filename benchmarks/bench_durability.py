@@ -46,12 +46,10 @@ import socket
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "scripts"))
-from bench_smoke import append_run, git_sha  # noqa: E402
+from _report import append_run, git_sha
 
-from repro import obs  # noqa: E402
-from repro.content.experiment import (  # noqa: E402
+from repro import obs
+from repro.content.experiment import (
     hub_failure_scenario,
     run_durability,
 )

@@ -43,22 +43,20 @@ import socket
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                                os.pardir, "scripts"))
-from bench_smoke import append_run, git_sha  # noqa: E402
+from _report import append_run, git_sha
 
-from repro import obs  # noqa: E402
-from repro.content.experiment import (  # noqa: E402
+from repro import obs
+from repro.content.experiment import (
     _PLACEMENT_SALT,
     build_placement,
 )
-from repro.content.live import LiveContent  # noqa: E402
-from repro.content.plane import ContentConfig, ContentPlane  # noqa: E402
-from repro.faults.scenario import load_scenario  # noqa: E402
-from repro.node.boot import LiveOverlay  # noqa: E402
-from repro.node.churn import run_live_churn_sync  # noqa: E402
-from repro.sim.churn import ChurnConfig, ChurnSimulation  # noqa: E402
-from repro.util.rng import derive_seed  # noqa: E402
+from repro.content.live import LiveContent
+from repro.content.plane import ContentConfig, ContentPlane
+from repro.faults.scenario import load_scenario
+from repro.node.boot import LiveOverlay
+from repro.node.churn import run_live_churn_sync
+from repro.sim.churn import ChurnConfig, ChurnSimulation
+from repro.util.rng import derive_seed
 
 EXPERIMENT_SEED = 7410
 

@@ -14,8 +14,8 @@ The figure of merit is the traced/untraced wall-time ratio; the gate
 (``--max-ratio``, default 1.25) fails the script when instrumentation
 costs more than 25% — the budget the observability docs promise.
 Measurements are *appended* to the run history in
-``BENCH_node_trace.json`` (``{"runs": [...]}``, newest last) using the
-same record conventions as ``scripts/bench_smoke.py``.
+``BENCH_node_trace.json`` (``{"runs": [...]}``, newest last) with
+``benchmarks/_report.append_run``.
 
 Usage::
 
@@ -31,8 +31,9 @@ import socket
 import sys
 import time
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_smoke import append_run, git_sha  # noqa: E402
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "benchmarks"))
+from _report import append_run, git_sha  # noqa: E402
 
 from repro.core import makalu_graph  # noqa: E402
 from repro.node import build_query_trees, run_live_workload  # noqa: E402

@@ -1,8 +1,8 @@
 """Offline analysis of observability artifacts: the ``repro obs`` toolkit.
 
 Three operations over the JSON artifacts runs leave behind (metric
-snapshots from ``--metrics-json``, bench run histories from
-``scripts/bench_smoke.py``, JSONL traces from ``--trace``, profile dumps
+snapshots from ``--metrics-json``, ``BENCH_*.json`` bench run
+histories, JSONL traces from ``--trace``, profile dumps
 from ``--profile-json``):
 
 * :func:`render_report` — human-readable health/metrics report of one
@@ -103,9 +103,8 @@ def load_document(path: str) -> dict:
 def latest_bench_record(doc: dict) -> Optional[dict]:
     """The most recent run record of a bench history, or None.
 
-    Accepts both the accumulating layout (``{"runs": [...]}``,
-    ``scripts/bench_smoke.py`` schema 2) and the legacy single-run layout
-    (wall times at top level, schema 1).
+    Accepts both the accumulating layout (``{"runs": [...]}``, schema 2)
+    and the legacy single-run layout (wall times at top level, schema 1).
     """
     runs = doc.get("runs")
     if isinstance(runs, list) and runs:

@@ -1,49 +1,48 @@
 """Process-parallel query execution with exact recombination.
 
-Two layers:
+One executor, :func:`map_shards`: run a module-level function over a list
+of self-contained payloads, in-process or across a worker pool, results in
+payload order.  Every search driver is a client of it —
+:func:`run_queries` (flooding: the overlay's CSR arrays go into shared
+memory via :mod:`repro.parallel.shared_graph`, each worker advances its
+shard through the batched kernel
+:func:`repro.search.batch.flood_batch`), and the identifier and two-tier
+drivers, whose per-query state (Bloom filters, QRP tables) is cheap enough
+to pickle once per shard.  All three hand a drawn workload to
+:func:`_run_sharded`, which cuts it into one contiguous shard per worker.
 
-* :func:`run_queries` — the flooding executor.  The overlay's CSR arrays
-  go into shared memory (:mod:`repro.parallel.shared_graph`), the query
-  workload is split into contiguous shards, and each worker advances its
-  shard through the batched kernel
-  (:func:`repro.search.batch.flood_batch`).  Per-query results come back
-  in workload order and are bit-identical to the scalar loop.
-* :func:`map_shards` — a generic shard mapper used by the identifier and
-  two-tier drivers, whose per-query state (Bloom filters, QRP tables) is
-  cheap enough to pickle once per shard.
-
-Both layers handle observability the same way: when the parent process has
-an active :mod:`repro.obs` session, each worker opens a fresh metrics-only
-session, runs its shard, and ships the metric snapshot back; the parent
-folds every snapshot into its own registry
+Observability: when the parent process has an active :mod:`repro.obs`
+session, each pool worker opens a fresh metrics-only session, runs its
+shard, and ships the metric snapshot back; the parent folds every snapshot
+into its own registry
 (:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`).  Counter and
 histogram totals therefore match a single-process run exactly.  Trace
 events and profiler spans are per-process and are *not* transported.
 
-Determinism: the workload (sources, objects, and any per-query generators)
-is always drawn in the parent before sharding, so results do not depend on
-``n_workers``, ``batch_size``, or scheduling.  Shards also receive
-dedicated ``SeedSequence.spawn`` children (shard ``i`` of any run with the
-same root seed sees the same child), so mechanisms that consume randomness
-in flight stay reproducible per shard; flooding itself consumes none.
+Determinism: the workload (sources, objects, loss keys and any per-query
+generators) is always drawn in the parent before sharding
+(:func:`repro.search.flooding._draw_workload`), so results do not depend
+on ``n_workers``, ``batch_size``, or scheduling.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.obs import runtime as _obs
-from repro.search.flooding import FloodResult, draw_query_workload
+from repro.search.batch import flood_batch, placement_masks
+from repro.search.flooding import FloodResult, _draw_workload
 from repro.search.metrics import SearchSummary, summarize
 from repro.search.replication import Placement
 from repro.parallel.shared_graph import SharedGraph, SharedGraphHandle
 from repro.topology.graph import OverlayGraph
-from repro.util.rng import SeedLike, as_generator
+from repro.util.rng import SeedLike
 
 #: Queries advanced per kernel invocation inside each worker.  Large enough
 #: to amortize the per-level numpy overhead, small enough that the per-batch
@@ -55,6 +54,13 @@ DEFAULT_BATCH_SIZE = 64
 def default_workers() -> int:
     """Worker count used when callers pass ``n_workers=0`` (one per core)."""
     return max(1, os.cpu_count() or 1)
+
+
+def _resolve_workers(n_workers: int) -> int:
+    """Validate a worker count; ``0`` means one per CPU core."""
+    if n_workers < 0:
+        raise ValueError(f"n_workers must be >= 0, got {n_workers}")
+    return n_workers or default_workers()
 
 
 def _start_method() -> str:
@@ -69,53 +75,33 @@ def _shard_bounds(n: int, n_shards: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
 
 
-def _root_seed_seq(seed: SeedLike) -> np.random.SeedSequence:
-    """The SeedSequence shard children are spawned from."""
-    gen = as_generator(seed)
-    seq = gen.bit_generator.seed_seq
-    if not isinstance(seq, np.random.SeedSequence):  # pragma: no cover
-        seq = np.random.SeedSequence(int(gen.integers(0, 2**63)))
-    return seq
-
-
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
 
-_WORKER: dict = {}
 
+def _run_pool_shard(arg):
+    """Run one shard in a pool worker; returns ``(result, metric snapshot)``.
 
-def _reset_worker_obs(obs_on: bool) -> None:
-    """Replace any session inherited through fork with a fresh one.
-
-    The inherited session must not be ``close()``d — its tracer may hold a
-    file descriptor shared with the parent — so it is simply dropped.
+    Any session inherited through fork is dropped, not ``close()``d — its
+    tracer may hold a file descriptor shared with the parent.  The fresh
+    metrics-only session is per shard, not per worker, so the snapshot
+    shipped back is this shard's alone even when the pool hands one worker
+    several shards.
     """
+    fn, payload, obs_on = arg
     _obs._ACTIVE = None
-    if obs_on:
-        _obs.configure()
+    session = _obs.configure() if obs_on else None
+    out = fn(payload)
+    return out, session.metrics.snapshot() if obs_on else None
 
 
-def _init_flood_worker(
-    handle: SharedGraphHandle, placement: Placement, ttl: int,
-    batch_size: int, obs_on: bool, faults=None,
-) -> None:
-    _reset_worker_obs(obs_on)
-    _WORKER["graph"] = handle.attach()
-    _WORKER["placement"] = placement
-    _WORKER["ttl"] = ttl
-    _WORKER["batch_size"] = batch_size
-    _WORKER["faults"] = faults
-
-
-def _run_flood_shard(spec):
-    """Flood one shard batch-by-batch; returns results + summary + metrics."""
-    from repro.search.batch import flood_batch, placement_masks
-
-    index, sources, objects, _seed_seq, keys = spec
-    graph, placement = _WORKER["graph"], _WORKER["placement"]
-    ttl, batch_size = _WORKER["ttl"], _WORKER["batch_size"]
-    faults = _WORKER.get("faults")
+def _run_flood_shard(payload) -> list[FloodResult]:
+    """Flood one shard batch-by-batch (module-level: picklable)."""
+    (graph, placement, ttl, batch_size, faults,
+     sources, objects, keys, _) = payload
+    if isinstance(graph, SharedGraphHandle):
+        graph = graph.attach()
     results: list[FloodResult] = []
     for start in range(0, sources.size, batch_size):
         chunk = slice(start, start + batch_size)
@@ -123,30 +109,13 @@ def _run_flood_shard(spec):
             flood_batch(
                 graph, sources[chunk], ttl,
                 replica_masks=placement_masks(placement, objects[chunk]),
-                # Loss keys are the *global* workload indices carried in
-                # the shard spec — never shard-local positions — so drop
-                # decisions are invariant under n_workers (the
-                # keyed-per-query convention).
                 faults=faults,
+                # Global workload indices, never shard-local positions:
+                # drop decisions must not depend on n_workers.
                 query_keys=keys[chunk],
             )
         )
-    summary = summarize([r.record() for r in results])
-    session = _obs.active()
-    snapshot = session.metrics.snapshot() if session is not None else None
-    return index, results, summary, snapshot
-
-
-def _init_map_worker(obs_on: bool) -> None:
-    _reset_worker_obs(obs_on)
-
-
-def _run_map_shard(arg):
-    fn, payload = arg
-    out = fn(payload)
-    session = _obs.active()
-    snapshot = session.metrics.snapshot() if session is not None else None
-    return out, snapshot
+    return results
 
 
 # ----------------------------------------------------------------------
@@ -159,22 +128,20 @@ class ParallelRunResult:
     """Recombined outcome of a sharded query run.
 
     ``results`` is in workload (query) order and bit-identical to the
-    scalar loop.  ``summary`` is re-summarized from the concatenated
-    per-query records, so every field — exact percentiles included —
-    matches a single-process run.  ``shard_summaries`` are the per-shard
-    aggregates; ``SearchSummary.merge(shard_summaries)`` recombines their
-    counts and means exactly (see its docstring for the p95 caveat).
+    scalar loop.
     """
 
     results: list[FloodResult]
-    summary: SearchSummary
-    shard_summaries: list[SearchSummary]
     n_workers: int
 
     @property
-    def merged_summary(self) -> SearchSummary:
-        """The shard summaries recombined via :meth:`SearchSummary.merge`."""
-        return SearchSummary.merge(self.shard_summaries)
+    def summary(self) -> SearchSummary:
+        """Summary of the per-query records, computed when read.
+
+        Summarized over the concatenated records, so every field — exact
+        percentiles included — matches a single-process run.
+        """
+        return summarize([r.record() for r in self.results])
 
 
 def run_queries(
@@ -213,67 +180,50 @@ def run_queries(
     the placement, and each shard's slice of the workload are pickled.
     """
     if objects is None:
-        sources, objects = draw_query_workload(
-            graph, placement, n_queries, seed=seed, sources=sources
-        )
+        workload = _draw_workload(graph, placement, n_queries, seed, sources)
     else:
-        sources = np.asarray(sources, dtype=np.int64)
-        objects = np.asarray(objects, dtype=np.int64)
-        if sources.size != n_queries or objects.size != n_queries:
+        workload = (
+            np.asarray(sources, dtype=np.int64),
+            np.asarray(objects, dtype=np.int64),
+            np.arange(n_queries, dtype=np.int64),
+            None,
+        )
+        if workload[0].size != n_queries or workload[1].size != n_queries:
             raise ValueError("sources/objects must have one entry per query")
     if batch_size is None:
         batch_size = DEFAULT_BATCH_SIZE
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if n_workers < 0:
-        raise ValueError(f"n_workers must be >= 0, got {n_workers}")
-    if n_workers == 0:
-        n_workers = default_workers()
-
-    bounds = _shard_bounds(n_queries, n_workers)
-    shard_seqs = _root_seed_seq(seed).spawn(len(bounds))
-    specs = [
-        (i, sources[a:b], objects[a:b], shard_seqs[i],
-         np.arange(a, b, dtype=np.int64))
-        for i, (a, b) in enumerate(bounds)
-    ]
-    session = _obs.active()
-
-    if n_workers == 1 or len(specs) == 1:
-        _init_flood_worker_inline = dict(_WORKER)
-        _WORKER.update(
-            graph=graph, placement=placement, ttl=ttl, batch_size=batch_size,
-            faults=faults,
+    n_workers = _resolve_workers(n_workers)
+    pooled = min(n_workers, n_queries) > 1
+    with SharedGraph(graph) if pooled else nullcontext() as shared:
+        results = _run_sharded(
+            _run_flood_shard,
+            (shared.handle if pooled else graph, placement, ttl, batch_size,
+             faults),
+            workload, n_workers,
         )
-        try:
-            shard_outs = [_run_flood_shard(s)[:3] + (None,) for s in specs]
-        finally:
-            _WORKER.clear()
-            _WORKER.update(_init_flood_worker_inline)
-    else:
-        ctx = mp.get_context(_start_method())
-        with SharedGraph(graph) as shared:
-            with ctx.Pool(
-                processes=min(n_workers, len(specs)),
-                initializer=_init_flood_worker,
-                initargs=(shared.handle, placement, ttl, batch_size,
-                          session is not None, faults),
-            ) as pool:
-                shard_outs = pool.map(_run_flood_shard, specs)
+    return ParallelRunResult(results=results, n_workers=n_workers)
 
-    shard_outs.sort(key=lambda t: t[0])
-    results = [r for _, rs, _, _ in shard_outs for r in rs]
-    shard_summaries = [s for _, _, s, _ in shard_outs]
-    if session is not None:
-        for _, _, _, snapshot in shard_outs:
-            if snapshot is not None:
-                session.metrics.merge_snapshot(snapshot)
-    return ParallelRunResult(
-        results=results,
-        summary=summarize([r.record() for r in results]),
-        shard_summaries=shard_summaries,
-        n_workers=n_workers,
-    )
+
+def _run_sharded(
+    fn: Callable, context: tuple, workload: tuple, n_workers: int
+) -> list:
+    """Run a drawn workload as one contiguous shard per worker.
+
+    ``workload`` is the ``(sources, objects, keys, rngs)`` tuple of
+    :func:`repro.search.flooding._draw_workload`; every column (``rngs``
+    may be ``None``) is sliced alike, so each query keeps its global loss
+    key and its own generator whichever shard it lands in.  ``fn`` gets
+    ``context + shard`` as its payload and returns that shard's per-query
+    results; they come back concatenated in workload order.
+    """
+    bounds = _shard_bounds(len(workload[0]), _resolve_workers(n_workers))
+    payloads = [
+        context + tuple(None if col is None else col[a:b] for col in workload)
+        for a, b in bounds
+    ]
+    return [r for out in map_shards(fn, payloads, n_workers) for r in out]
 
 
 def map_shards(
@@ -282,26 +232,21 @@ def map_shards(
     """Run ``fn(payload)`` for every payload, optionally across processes.
 
     ``fn`` must be a module-level callable (pickled by reference) and each
-    payload self-contained.  Results come back in payload order.  Worker
-    metric snapshots are merged into the parent's active obs session, the
-    same contract as :func:`run_queries`.
+    payload self-contained.  Results come back in payload order.  With
+    one worker or one payload everything runs in the calling process —
+    under the caller's obs session, no pool; otherwise worker metric
+    snapshots are merged into the parent's active obs session.
     """
-    if n_workers < 0:
-        raise ValueError(f"n_workers must be >= 0, got {n_workers}")
-    if n_workers == 0:
-        n_workers = default_workers()
+    n_workers = _resolve_workers(n_workers)
     if n_workers == 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
     session = _obs.active()
     ctx = mp.get_context(_start_method())
-    with ctx.Pool(
-        processes=min(n_workers, len(payloads)),
-        initializer=_init_map_worker,
-        initargs=(session is not None,),
-    ) as pool:
-        outs = pool.map(_run_map_shard, [(fn, p) for p in payloads])
+    with ctx.Pool(processes=min(n_workers, len(payloads))) as pool:
+        outs = pool.map(
+            _run_pool_shard, [(fn, p, session is not None) for p in payloads]
+        )
     if session is not None:
         for _, snapshot in outs:
-            if snapshot is not None:
-                session.metrics.merge_snapshot(snapshot)
+            session.metrics.merge_snapshot(snapshot)
     return [out for out, _ in outs]

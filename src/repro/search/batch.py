@@ -16,9 +16,11 @@ small matrix products.
 The kernel is **bit-identical** to the scalar ``flood``: for every query it
 produces the same ``FloodResult`` fields (per-hop arrays included) and the
 same observability counters, histogram observations and trace events, in
-the same per-query order (``tests/search/test_batch.py`` enforces this).
-Floods contain no randomness — sources and replica masks fully determine
-the outcome — which is what makes exact batching possible.
+the same per-query order (``tests/search/test_batch.py`` enforces this;
+both kernels report through the one emitter,
+:func:`repro.search.flooding._record_obs`).  Floods contain no randomness —
+sources and replica masks fully determine the outcome — which is what
+makes exact batching possible.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.link import LinkFaults
 
 from repro.obs import runtime as _obs
-from repro.search.flooding import FloodResult
+from repro.search.flooding import FloodResult, _record_obs
 from repro.topology.csr import gather_neighbors
 from repro.topology.graph import OverlayGraph
 from repro.util.validation import check_node_id
@@ -236,56 +238,6 @@ def flood_batch(
     ]
     _record_obs(results)
     return results
-
-
-def _record_obs(results: list[FloodResult]) -> None:
-    """Emit the same counters/histograms/events scalar ``flood`` would.
-
-    Scalar flooding records per query; replaying the batch in query order
-    reproduces the identical metric totals and trace stream, so enabling
-    batching never changes what an observability session reports.
-    """
-    session = _obs.active()
-    if session is None:
-        return
-    reg = session.metrics
-    tracer = session.tracer
-    queries = reg.counter("search.flood.queries")
-    sent_c = reg.counter("search.flood.messages_sent")
-    dup_c = reg.counter("search.flood.duplicates")
-    hist = reg.histogram("search.flood.messages_per_query")
-    for r in results:
-        total = int(r.messages_per_hop.sum())
-        queries.inc()
-        sent_c.inc(total)
-        dup_c.inc(int(r.duplicates_per_hop.sum()))
-        if r.dropped_per_hop is not None:
-            reg.counter("search.flood.messages_lost").inc(
-                int(r.dropped_per_hop.sum())
-            )
-        hist.observe(float(total))
-        if tracer is not None:
-            for h in np.flatnonzero(r.messages_per_hop > 0):
-                if r.dropped_per_hop is not None:
-                    tracer.emit(
-                        "flood.hop", source=r.source, hop=int(h) + 1,
-                        sent=int(r.messages_per_hop[h]),
-                        new=int(r.new_nodes_per_hop[h]),
-                        dup=int(r.duplicates_per_hop[h]),
-                        lost=int(r.dropped_per_hop[h]),
-                    )
-                else:
-                    tracer.emit(
-                        "flood.hop", source=r.source, hop=int(h) + 1,
-                        sent=int(r.messages_per_hop[h]),
-                        new=int(r.new_nodes_per_hop[h]),
-                        dup=int(r.duplicates_per_hop[h]),
-                    )
-            tracer.emit(
-                "flood.query", source=r.source, ttl=r.ttl, messages=total,
-                first_hit_hop=r.first_hit_hop,
-                replicas_found=r.replicas_found,
-            )
 
 
 def placement_masks(placement, objects: np.ndarray) -> np.ndarray:

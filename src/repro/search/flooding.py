@@ -29,7 +29,7 @@ from repro.search.metrics import QueryRecord
 from repro.search.replication import Placement
 from repro.topology.csr import gather_neighbors
 from repro.topology.graph import OverlayGraph
-from repro.util.rng import SeedLike, as_generator
+from repro.util.rng import SeedLike, as_generator, spawn_generators
 from repro.util.validation import check_node_id
 
 
@@ -190,11 +190,6 @@ def flood(
         first_hit = 0
         replicas_found = 1
 
-    # Observability is hoisted out of the hop loop: one session lookup per
-    # flood, one `is None` test per hop when disabled (<5% budget).
-    session = _obs.active()
-    tracer = session.tracer if session is not None else None
-
     frontier = np.asarray([source], dtype=np.int64)
     with _obs.span("search.flood"):
         for h in range(1, ttl + 1):
@@ -221,18 +216,6 @@ def flood(
             messages[h - 1] = sent
             new_nodes[h - 1] = frontier.size
             duplicates[h - 1] = sent - frontier.size
-            if tracer is not None:
-                if lossy:
-                    tracer.emit(
-                        "flood.hop", source=source, hop=h, sent=sent,
-                        new=frontier.size, dup=sent - frontier.size,
-                        lost=int(dropped[h - 1]),
-                    )
-                else:
-                    tracer.emit(
-                        "flood.hop", source=source, hop=h, sent=sent,
-                        new=frontier.size, dup=sent - frontier.size,
-                    )
 
             if replica_mask is not None and frontier.size:
                 hits = int(np.count_nonzero(replica_mask[frontier]))
@@ -242,24 +225,7 @@ def flood(
             if frontier.size == 0:
                 break
 
-    if session is not None:
-        reg = session.metrics
-        reg.counter("search.flood.queries").inc()
-        reg.counter("search.flood.messages_sent").inc(int(messages.sum()))
-        reg.counter("search.flood.duplicates").inc(int(duplicates.sum()))
-        if lossy:
-            reg.counter("search.flood.messages_lost").inc(int(dropped.sum()))
-        reg.histogram("search.flood.messages_per_query").observe(
-            float(messages.sum())
-        )
-        if tracer is not None:
-            tracer.emit(
-                "flood.query", source=source, ttl=ttl,
-                messages=int(messages.sum()), first_hit_hop=first_hit,
-                replicas_found=replicas_found,
-            )
-
-    return FloodResult(
+    result = FloodResult(
         source=source,
         ttl=ttl,
         messages_per_hop=messages,
@@ -268,6 +234,92 @@ def flood(
         first_hit_hop=first_hit,
         replicas_found=replicas_found,
         dropped_per_hop=dropped,
+    )
+    _record_obs([result])
+    return result
+
+
+def _record_obs(results: list[FloodResult]) -> None:
+    """Emit the ``search.flood.*`` metrics and trace events of ``results``.
+
+    The one emitter both flood kernels call: scalar ``flood`` with its
+    single result, ``flood_batch`` with the batch in query order — so the
+    metric totals and the trace stream do not depend on which kernel ran.
+    A hop is reported iff it sent messages (both kernels stop recording
+    at the first hop that would send none).
+    """
+    session = _obs.active()
+    if session is None:
+        return
+    reg = session.metrics
+    tracer = session.tracer
+    queries = reg.counter("search.flood.queries")
+    sent_c = reg.counter("search.flood.messages_sent")
+    dup_c = reg.counter("search.flood.duplicates")
+    hist = reg.histogram("search.flood.messages_per_query")
+    for r in results:
+        total = int(r.messages_per_hop.sum())
+        queries.inc()
+        sent_c.inc(total)
+        dup_c.inc(int(r.duplicates_per_hop.sum()))
+        if r.dropped_per_hop is not None:
+            reg.counter("search.flood.messages_lost").inc(
+                int(r.dropped_per_hop.sum())
+            )
+        hist.observe(float(total))
+        if tracer is None:
+            continue
+        for h in np.flatnonzero(r.messages_per_hop > 0):
+            fields = dict(
+                source=r.source, hop=int(h) + 1,
+                sent=int(r.messages_per_hop[h]),
+                new=int(r.new_nodes_per_hop[h]),
+                dup=int(r.duplicates_per_hop[h]),
+            )
+            if r.dropped_per_hop is not None:
+                fields["lost"] = int(r.dropped_per_hop[h])
+            tracer.emit("flood.hop", **fields)
+        tracer.emit(
+            "flood.query", source=r.source, ttl=r.ttl, messages=total,
+            first_hit_hop=r.first_hit_hop, replicas_found=r.replicas_found,
+        )
+
+
+def _draw_workload(
+    graph: OverlayGraph,
+    placement: Placement,
+    n_queries: int,
+    seed: SeedLike = None,
+    sources: Optional[Sequence[int]] = None,
+    spawn: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[list]]:
+    """Draw one query workload: ``(sources, objects, keys, rngs)``.
+
+    The single place a search driver consumes workload randomness and the
+    single place it is validated.  ``keys = arange(n_queries)`` are the
+    global loss-stream keys (query ``i`` drops the same messages however
+    the workload is later sharded or batched); ``rngs`` are per-query
+    child generators (``SeedSequence.spawn``) when ``spawn`` is set, for
+    mechanisms that consume randomness in flight, else ``None``.  RNG
+    consumption order is sources, objects, then the spawn.
+    """
+    if n_queries < 1:
+        raise ValueError(f"n_queries must be >= 1, got {n_queries}")
+    if placement.n_nodes != graph.n_nodes:
+        raise ValueError("placement and graph node counts disagree")
+    rng = as_generator(seed)
+    if sources is None:
+        sources = rng.integers(0, graph.n_nodes, size=n_queries)
+    else:
+        sources = np.asarray(sources, dtype=np.int64)
+        if sources.size != n_queries:
+            raise ValueError("sources must have one entry per query")
+    objects = rng.integers(0, placement.n_objects, size=n_queries)
+    return (
+        np.asarray(sources, dtype=np.int64),
+        objects,
+        np.arange(n_queries, dtype=np.int64),
+        spawn_generators(rng, n_queries) if spawn else None,
     )
 
 
@@ -289,19 +341,7 @@ def draw_query_workload(
     placement (the paper floods "for each unique object in the system from
     random nodes").
     """
-    if n_queries < 1:
-        raise ValueError(f"n_queries must be >= 1, got {n_queries}")
-    if placement.n_nodes != graph.n_nodes:
-        raise ValueError("placement and graph node counts disagree")
-    rng = as_generator(seed)
-    if sources is None:
-        sources = rng.integers(0, graph.n_nodes, size=n_queries)
-    else:
-        sources = np.asarray(sources, dtype=np.int64)
-        if sources.size != n_queries:
-            raise ValueError("sources must have one entry per query")
-    objects = rng.integers(0, placement.n_objects, size=n_queries)
-    return np.asarray(sources, dtype=np.int64), objects
+    return _draw_workload(graph, placement, n_queries, seed, sources)[:2]
 
 
 def flood_queries(
@@ -326,8 +366,7 @@ def flood_queries(
         bit-identical either way; batching only changes wall time.
     n_workers:
         When > 1 (or 0, meaning one worker per CPU core), shard the
-        batches across worker processes via
-        :func:`repro.parallel.run_queries` (the overlay's CSR arrays are
+        batches across worker processes (the overlay's CSR arrays are
         placed in shared memory, not pickled per worker).  Implies
         batching (default shard batch size when ``batch_size`` is None).
 
@@ -336,12 +375,14 @@ def flood_queries(
     per-query results regardless of ``batch_size`` and ``n_workers``.
     With ``faults``, loss keys are the workload indices — query ``i``
     drops the same messages on every execution path (the golden-parity
-    contract; never key loss by worker or batch position).
+    contract; never key loss by worker or batch position).  Anything but
+    the scalar loop is :func:`repro.parallel.run_queries` on this
+    workload.
     """
-    sources, objects = draw_query_workload(
-        graph, placement, n_queries, seed=seed, sources=sources
+    sources, objects, keys, _ = _draw_workload(
+        graph, placement, n_queries, seed, sources
     )
-    if n_workers == 0 or n_workers > 1:
+    if batch_size is not None or n_workers != 1:
         from repro.parallel import run_queries
 
         return run_queries(
@@ -350,31 +391,11 @@ def flood_queries(
             n_workers=n_workers, batch_size=batch_size,
             faults=faults,
         ).results
-    if batch_size is not None:
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        from repro.search.batch import flood_batch, placement_masks
-
-        results: list[FloodResult] = []
-        for start in range(0, n_queries, batch_size):
-            chunk = slice(start, start + batch_size)
-            results.extend(
-                flood_batch(
-                    graph, sources[chunk], ttl,
-                    replica_masks=placement_masks(placement, objects[chunk]),
-                    faults=faults,
-                    query_keys=np.arange(
-                        start, min(start + batch_size, n_queries)
-                    ),
-                )
-            )
-        return results
-
-    results = []
-    for i, (src, obj) in enumerate(zip(sources, objects)):
-        mask = placement.holder_mask(int(obj))
-        results.append(
-            flood(graph, int(src), ttl, replica_mask=mask, faults=faults,
-                  query_key=i)
+    return [
+        flood(
+            graph, int(src), ttl,
+            replica_mask=placement.holder_mask(int(obj)),
+            faults=faults, query_key=int(key),
         )
-    return results
+        for src, obj, key in zip(sources, objects, keys)
+    ]

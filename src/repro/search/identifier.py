@@ -25,10 +25,11 @@ import numpy as np
 
 from repro.obs import runtime as _obs
 from repro.search.attenuated import AttenuatedFilters
+from repro.search.flooding import _draw_workload
 from repro.search.metrics import QueryRecord
 from repro.search.replication import Placement
 from repro.topology.graph import OverlayGraph
-from repro.util.rng import SeedLike, as_generator, spawn_generators
+from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_node_id
 
 
@@ -260,17 +261,15 @@ class AbfRouter:
 
 def _run_identifier_shard(payload) -> list[IdentifierSearchResult]:
     """One worker's slice of an identifier workload (module-level: picklable)."""
-    router, placement, sources, objects, ttl, rngs, faults, keys = payload
-    results = []
-    for src, obj, rng, qkey in zip(sources, objects, rngs, keys):
-        mask = placement.holder_mask(int(obj))
-        results.append(
-            router.query(
-                int(src), placement.key_of(int(obj)), mask, ttl=ttl, seed=rng,
-                faults=faults, query_key=int(qkey),
-            )
+    router, placement, ttl, faults, sources, objects, keys, rngs = payload
+    return [
+        router.query(
+            int(src), placement.key_of(int(obj)),
+            placement.holder_mask(int(obj)), ttl=ttl, seed=rng,
+            faults=faults, query_key=int(key),
         )
-    return results
+        for src, obj, key, rng in zip(sources, objects, keys, rngs)
+    ]
 
 
 def identifier_queries(
@@ -292,34 +291,12 @@ def identifier_queries(
     results in the same order as the serial loop.  With ``faults``, loss
     keys are the global workload indices, preserving that invariance.
     """
-    graph = router.graph
-    if placement.n_nodes != graph.n_nodes:
-        raise ValueError("placement and graph node counts disagree")
-    rng = as_generator(seed)
-    if sources is None:
-        sources = rng.integers(0, graph.n_nodes, size=n_queries)
-    else:
-        sources = np.asarray(sources, dtype=np.int64)
-        if sources.size != n_queries:
-            raise ValueError("sources must have one entry per query")
-    objects = rng.integers(0, placement.n_objects, size=n_queries)
-    query_rngs = spawn_generators(rng, n_queries)
-    query_keys = np.arange(n_queries, dtype=np.int64)
-    if n_workers == 1:
-        return _run_identifier_shard(
-            (router, placement, sources, objects, ttl, query_rngs, faults,
-             query_keys)
-        )
+    from repro.parallel.runner import _run_sharded
 
-    from repro.parallel import map_shards
-    from repro.parallel.runner import _shard_bounds
-
-    payloads = [
-        (router, placement, sources[a:b], objects[a:b], ttl,
-         query_rngs[a:b], faults, query_keys[a:b])
-        for a, b in _shard_bounds(n_queries, n_workers)
-    ]
-    return [
-        r for shard in map_shards(_run_identifier_shard, payloads, n_workers)
-        for r in shard
-    ]
+    workload = _draw_workload(
+        router.graph, placement, n_queries, seed, sources, spawn=True
+    )
+    return _run_sharded(
+        _run_identifier_shard, (router, placement, ttl, faults), workload,
+        n_workers,
+    )

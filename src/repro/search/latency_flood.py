@@ -22,9 +22,10 @@ from typing import Optional
 
 import numpy as np
 
+from repro.search.flooding import draw_query_workload
 from repro.search.replication import Placement
 from repro.topology.graph import OverlayGraph
-from repro.util.rng import SeedLike, as_generator
+from repro.util.rng import SeedLike
 from repro.util.segments import segment_counts
 from repro.util.validation import check_node_id
 
@@ -120,13 +121,7 @@ def response_time_distribution(
     Use ``numpy.isfinite`` to split successes from failures and
     ``numpy.percentile`` on the finite part for the latency distribution.
     """
-    if n_queries < 1:
-        raise ValueError(f"n_queries must be >= 1, got {n_queries}")
-    if placement.n_nodes != graph.n_nodes:
-        raise ValueError("placement and graph node counts disagree")
-    rng = as_generator(seed)
-    sources = rng.integers(0, graph.n_nodes, size=n_queries)
-    objects = rng.integers(0, placement.n_objects, size=n_queries)
+    sources, objects = draw_query_workload(graph, placement, n_queries, seed)
     out = np.empty(n_queries)
     for i, (src, obj) in enumerate(zip(sources, objects)):
         res = time_to_first_result(

@@ -27,12 +27,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.search.flooding import _draw_workload
 from repro.search.metrics import QueryRecord
 from repro.search.replication import Placement
 from repro.topology.csr import gather_neighbors
 from repro.topology.graph import OverlayGraph
 from repro.topology.twotier import TwoTierTopology
-from repro.util.rng import SeedLike, as_generator, spawn_generators
+from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_node_id, check_probability
 
 
@@ -315,18 +316,16 @@ class TwoTierSearch:
 
 def _run_two_tier_shard(payload) -> list[TwoTierFloodResult]:
     """One worker's slice of a v0.6 workload (module-level: picklable)."""
-    (search, placement, sources, objects, ttl, results_target, rngs,
-     faults, keys) = payload
-    results = []
-    for src, obj, rng, qkey in zip(sources, objects, rngs, keys):
-        mask = placement.holder_mask(int(obj))
-        results.append(
-            search.query(
-                int(src), ttl, mask, results_target=results_target, seed=rng,
-                faults=faults, query_key=int(qkey),
-            )
+    (search, placement, ttl, results_target, faults,
+     sources, objects, keys, rngs) = payload
+    return [
+        search.query(
+            int(src), ttl, placement.holder_mask(int(obj)),
+            results_target=results_target, seed=rng,
+            faults=faults, query_key=int(key),
         )
-    return results
+        for src, obj, key, rng in zip(sources, objects, keys, rngs)
+    ]
 
 
 def two_tier_queries(
@@ -348,34 +347,12 @@ def two_tier_queries(
     the same order as the serial loop.  With ``faults``, loss keys are the
     global workload indices, preserving that invariance.
     """
-    graph = search.topo.graph
-    if placement.n_nodes != graph.n_nodes:
-        raise ValueError("placement and graph node counts disagree")
-    rng = as_generator(seed)
-    if sources is None:
-        sources = rng.integers(0, graph.n_nodes, size=n_queries)
-    else:
-        sources = np.asarray(sources, dtype=np.int64)
-        if sources.size != n_queries:
-            raise ValueError("sources must have one entry per query")
-    objects = rng.integers(0, placement.n_objects, size=n_queries)
-    query_rngs = spawn_generators(rng, n_queries)
-    query_keys = np.arange(n_queries, dtype=np.int64)
-    if n_workers == 1:
-        return _run_two_tier_shard(
-            (search, placement, sources, objects, ttl, results_target,
-             query_rngs, faults, query_keys)
-        )
+    from repro.parallel.runner import _run_sharded
 
-    from repro.parallel import map_shards
-    from repro.parallel.runner import _shard_bounds
-
-    payloads = [
-        (search, placement, sources[a:b], objects[a:b], ttl, results_target,
-         query_rngs[a:b], faults, query_keys[a:b])
-        for a, b in _shard_bounds(n_queries, n_workers)
-    ]
-    return [
-        r for shard in map_shards(_run_two_tier_shard, payloads, n_workers)
-        for r in shard
-    ]
+    workload = _draw_workload(
+        search.topo.graph, placement, n_queries, seed, sources, spawn=True
+    )
+    return _run_sharded(
+        _run_two_tier_shard, (search, placement, ttl, results_target, faults),
+        workload, n_workers,
+    )

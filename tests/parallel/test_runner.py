@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.faults import LinkFaults
 from repro.obs import runtime as obs
 from repro.parallel import (
     DEFAULT_BATCH_SIZE,
@@ -11,8 +12,17 @@ from repro.parallel import (
     run_queries,
 )
 from repro.parallel.runner import _shard_bounds, default_workers
-from repro.search import flood_queries, place_objects, summarize
-from repro.topology import powerlaw_graph
+from repro.search import (
+    AbfRouter,
+    TwoTierSearch,
+    build_attenuated_filters,
+    flood_queries,
+    identifier_queries,
+    place_objects,
+    summarize,
+    two_tier_queries,
+)
+from repro.topology import powerlaw_graph, two_tier_graph
 
 
 @pytest.fixture(scope="module")
@@ -66,13 +76,6 @@ class TestRunQueries:
             assert_results_equal(out.results, scalar)
             # Re-summarized summary is exact, percentile included.
             assert out.summary == refsum
-            # Shard-merged summary recombines the exact counts.
-            merged = out.merged_summary
-            assert merged.n_queries == refsum.n_queries
-            assert merged.n_successes == refsum.n_successes
-            assert merged.total_messages == refsum.total_messages
-            assert merged.success_rate == refsum.success_rate
-            assert merged.mean_messages == refsum.mean_messages
 
     def test_explicit_workload_replay(self, world):
         graph, placement = world
@@ -89,41 +92,11 @@ class TestRunQueries:
         assert_results_equal(a.results, b.results)
         assert [r.source for r in a.results] == list(sources)
 
-    def test_obs_counters_match_serial(self, world):
-        graph, placement = world
-        obs.configure()
-        try:
-            flood_queries(graph, placement, 30, ttl=4, seed=13)
-            ref = obs.active().metrics.snapshot()
-        finally:
-            obs.disable()
-        for n_workers in (1, 3):
-            obs.configure()
-            try:
-                run_queries(
-                    graph, placement, 30, ttl=4, seed=13,
-                    n_workers=n_workers, batch_size=8,
-                )
-                snap = obs.active().metrics.snapshot()
-            finally:
-                obs.disable()
-            assert snap["counters"] == ref["counters"]
-            assert snap["histograms"] == ref["histograms"]
-
     def test_more_workers_than_queries(self, world):
         graph, placement = world
         scalar = flood_queries(graph, placement, 3, ttl=3, seed=2)
         out = run_queries(graph, placement, 3, ttl=3, seed=2, n_workers=8)
         assert_results_equal(out.results, scalar)
-        assert len(out.shard_summaries) <= 3
-
-    def test_flood_queries_n_workers_dispatch(self, world):
-        graph, placement = world
-        scalar = flood_queries(graph, placement, 20, ttl=4, seed=3)
-        parallel = flood_queries(
-            graph, placement, 20, ttl=4, seed=3, n_workers=2
-        )
-        assert_results_equal(parallel, scalar)
 
     def test_validation(self, world):
         graph, placement = world
@@ -136,6 +109,12 @@ class TestRunQueries:
                 graph, placement, 5, ttl=3,
                 sources=np.asarray([1, 2]), objects=np.asarray([0, 0]),
             )
+        # A bad worker count is rejected by the one executor, whichever
+        # driver it came through (flood_queries used to fall back to the
+        # scalar loop silently).
+        for n_workers in (-1, -2):
+            with pytest.raises(ValueError, match="n_workers must be >= 0"):
+                flood_queries(graph, placement, 5, ttl=3, n_workers=n_workers)
 
     def test_default_batch_size_used(self, world):
         graph, placement = world
@@ -193,37 +172,111 @@ class TestSharedGraph:
             assert len(blob) < graph.indices.nbytes
 
 
-class TestIdentifierAndTwoTierParallel:
-    def test_identifier_parallel_parity(self):
-        from repro.search import (
-            AbfRouter,
-            build_attenuated_filters,
-            identifier_queries,
+def _count_call(payload):
+    obs.count("test.map_shards.calls")
+    return payload
+
+
+def _nested_run_queries(payload):
+    graph, placement, seed = payload
+    return run_queries(
+        graph, placement, 24, ttl=4, seed=seed, n_workers=1, batch_size=8
+    ).results
+
+
+class TestMapShardsObsAndReentrancy:
+    def test_obs_counts_each_shard_once(self):
+        # More shards than workers: some worker runs several, and each
+        # shipped snapshot must still hold that shard's metrics alone.
+        obs.configure()
+        try:
+            out = map_shards(_count_call, list(range(6)), n_workers=2)
+            counters = obs.active().metrics.snapshot()["counters"]
+        finally:
+            obs.disable()
+        assert out == list(range(6))
+        assert counters["test.map_shards.calls"] == 6
+
+    def test_run_queries_inside_a_worker(self, world):
+        # The executor keeps no per-process state, so an in-process
+        # run_queries nested in a map_shards worker is the top-level run.
+        graph, placement = world
+        top = [
+            run_queries(
+                graph, placement, 24, ttl=4, seed=seed, n_workers=1,
+                batch_size=8,
+            ).results
+            for seed in (5, 6)
+        ]
+        nested = map_shards(
+            _nested_run_queries,
+            [(graph, placement, 5), (graph, placement, 6)],
+            n_workers=2,
         )
+        for a, b in zip(top, nested):
+            assert_results_equal(a, b)
 
-        graph = powerlaw_graph(300, seed=41)
-        placement = place_objects(300, 5, 0.04, seed=42)
-        filters = build_attenuated_filters(graph, placement, depth=3)
-        router = AbfRouter(graph, filters)
-        serial = identifier_queries(router, placement, 30, ttl=15, seed=43)
-        parallel = identifier_queries(
-            router, placement, 30, ttl=15, seed=43, n_workers=3
+
+def _rows(results):
+    """Every field of every per-query result, arrays as lists."""
+    return [
+        {
+            k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(r).items()
+        }
+        for r in results
+    ]
+
+
+class TestCrossExecutorEquivalence:
+    """Serial == sharded for every mechanism: results and merged metrics."""
+
+    @pytest.fixture(scope="class")
+    def drivers(self, world):
+        graph, placement = world
+        router = AbfRouter(
+            graph, build_attenuated_filters(graph, placement, depth=3)
         )
-        for a, b in zip(serial, parallel):
-            assert a.source == b.source
-            assert a.messages == b.messages
-            assert a.resolved_at == b.resolved_at
-            np.testing.assert_array_equal(a.path, b.path)
-
-    def test_two_tier_parallel_parity(self):
-        from repro.search import TwoTierSearch, two_tier_queries
-        from repro.topology import two_tier_graph
-
         topo = two_tier_graph(500, seed=44)
-        placement = place_objects(500, 5, 0.04, seed=45)
+        tt_placement = place_objects(500, 5, 0.04, seed=45)
         search = TwoTierSearch(topo)
-        serial = two_tier_queries(search, placement, 30, ttl=4, seed=46)
-        parallel = two_tier_queries(
-            search, placement, 30, ttl=4, seed=46, n_workers=3
-        )
-        assert serial == parallel
+        return {
+            "flood": lambda **kw: flood_queries(
+                graph, placement, 30, ttl=4, seed=13, **kw
+            ),
+            "identifier": lambda **kw: identifier_queries(
+                router, placement, 30, ttl=15, seed=43, **kw
+            ),
+            "two-tier": lambda **kw: two_tier_queries(
+                search, tt_placement, 30, ttl=4, seed=46, **kw
+            ),
+        }
+
+    @staticmethod
+    def observed(run):
+        obs.configure()
+        try:
+            results = run()
+            snap = obs.active().metrics.snapshot()
+        finally:
+            obs.disable()
+        return _rows(results), snap["counters"], snap["histograms"]
+
+    @pytest.mark.parametrize("loss_rate", [0.0, 0.05])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("mechanism", ["flood", "identifier", "two-tier"])
+    def test_sharded_equals_serial(
+        self, drivers, mechanism, n_workers, loss_rate
+    ):
+        faults = LinkFaults(loss_rate=loss_rate, seed=5) if loss_rate else None
+        run = drivers[mechanism]
+        sharded_kw = {"n_workers": n_workers}
+        if mechanism == "flood":
+            # Without a batch size, one worker would be the scalar loop
+            # itself — the serial reference — not the executor.
+            sharded_kw["batch_size"] = 8
+        serial = self.observed(lambda: run(faults=faults))
+        sharded = self.observed(lambda: run(faults=faults, **sharded_kw))
+        assert sharded == serial
+        if mechanism != "two-tier":  # which emits no metrics to compare
+            assert serial[1] and serial[2]

@@ -7,8 +7,19 @@ cliques, long chains) are where frontier bookkeeping typically breaks.
 import numpy as np
 import pytest
 
-from repro.search import flood, flood_queries, place_objects
+from repro.search import (
+    AbfRouter,
+    TwoTierSearch,
+    build_attenuated_filters,
+    flood,
+    flood_queries,
+    identifier_queries,
+    place_objects,
+    response_time_distribution,
+    two_tier_queries,
+)
 from repro.search.flooding import flood_node_load
+from repro.topology import two_tier_graph
 from tests.conftest import build_graph, complete_graph, path_graph
 
 
@@ -83,3 +94,44 @@ class TestBatchEdgeCases:
         p = place_objects(4, 1, 0.25, seed=4)
         results = flood_queries(g, p, 4, ttl=2, seed=5, sources=[0, 1, 2, 3])
         assert [r.source for r in results] == [0, 1, 2, 3]
+
+
+class TestWorkloadValidation:
+    """All four query drivers draw through one function: one set of checks."""
+
+    @pytest.fixture(scope="class")
+    def drivers(self):
+        g = complete_graph(8)
+        p = place_objects(8, 2, 0.25, seed=6)
+        filters = build_attenuated_filters(g, placement=p, depth=2)
+        router = AbfRouter(g, filters)
+        search = TwoTierSearch(two_tier_graph(40, seed=7))
+        return {
+            "flood": lambda p, n, **kw: flood_queries(g, p, n, ttl=2, **kw),
+            "identifier": lambda p, n, **kw: identifier_queries(
+                router, p, n, ttl=4, **kw
+            ),
+            "two-tier": lambda p, n, **kw: two_tier_queries(
+                search, p, n, ttl=2, **kw
+            ),
+            "response": lambda p, n, **kw: response_time_distribution(
+                g, p, n, ttl=2, **kw
+            ),
+        }
+
+    @pytest.mark.parametrize(
+        "driver", ["flood", "identifier", "two-tier", "response"]
+    )
+    def test_same_rejections_everywhere(self, drivers, driver):
+        run = drivers[driver]
+        n_nodes = 40 if driver == "two-tier" else 8
+        good = place_objects(n_nodes, 2, 0.25, seed=8)
+        assert len(run(good, 3, seed=1)) == 3
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n_queries must be >= 1"):
+                run(good, n)
+        with pytest.raises(ValueError, match="node counts disagree"):
+            run(place_objects(n_nodes + 1, 2, 0.25, seed=8), 3)
+        if driver != "response":  # which takes no explicit sources
+            with pytest.raises(ValueError, match="one entry per query"):
+                run(good, 3, sources=[0, 1])
