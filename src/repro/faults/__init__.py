@@ -18,7 +18,7 @@ lives with the rest of the protocol maintenance in
 :mod:`repro.core.maintenance` (:class:`~repro.core.maintenance.RecoveryPolicy`).
 """
 
-from repro.faults.hashing import drop_mask, message_hash, rate_threshold
+from repro.faults.hashing import message_hash, rate_threshold
 from repro.faults.injector import FaultInjector
 from repro.faults.link import LinkFaults
 from repro.faults.scenario import (
@@ -45,7 +45,6 @@ __all__ = [
     "LossWindow",
     "PartitionEvent",
     "StaleViewEvent",
-    "drop_mask",
     "load_scenario",
     "message_hash",
     "pick_crash_victims",

@@ -33,6 +33,9 @@ _U31 = np.uint64(31)
 #: messages lost" at any simulation scale.
 _MAX_U64 = np.uint64(0xFFFFFFFFFFFFFFFF)
 
+#: Words finalized at a time by :func:`fold` (128 KiB per temporary).
+_BLOCK = 16384
+
 
 def _finalize(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over uint64 scalars/arrays (wrapping arithmetic)."""
@@ -42,33 +45,52 @@ def _finalize(z: np.ndarray) -> np.ndarray:
         return z ^ (z >> _U31)
 
 
-def _mix(acc, word) -> np.ndarray:
-    """Fold ``word`` into accumulator ``acc`` (both uint64, broadcastable)."""
-    with np.errstate(over="ignore"):
-        return _finalize(acc ^ (word + _GOLDEN))
-
-
 def _as_u64(value) -> np.ndarray:
-    """Cast ints / int64 arrays to uint64 (two's-complement for negatives)."""
+    """Copy ints / int64 arrays to uint64 (two's-complement for negatives)."""
     return np.asarray(value).astype(np.uint64)
+
+
+def fold(acc, value) -> np.ndarray:
+    """Fold integer ``value`` into uint64 hash ``acc``, elementwise.
+
+    The arguments broadcast and neither is written to.  A result longer
+    than one block is finalized block by block, in place: the finalizer's
+    nine temporaries are then block-sized and stay in cache, where
+    finalizing a message-sized array whole would stream it through memory
+    nine times.
+    """
+    word = _as_u64(value)
+    word += _GOLDEN
+    z = acc ^ word
+    if z.size <= _BLOCK:
+        return _finalize(z)
+    flat = z.reshape(-1)
+    for start in range(0, flat.size, _BLOCK):
+        flat[start : start + _BLOCK] = _finalize(flat[start : start + _BLOCK])
+    return z
+
+
+def edge_hash(seed: int, hop: int, senders, receivers) -> np.ndarray:
+    """Query-independent part of :func:`message_hash`, one uint64 per edge.
+
+    Every query crossing ``sender -> receiver`` at ``hop`` shares it, so a
+    kernel advancing many queries hashes each gathered edge once and folds
+    each message's query key into its edge's hash (:func:`fold`).
+    """
+    base = fold(_finalize(_as_u64(seed) + _GOLDEN), hop)
+    return fold(fold(base, senders), receivers)
 
 
 def message_hash(seed: int, query_keys, hop: int, senders, receivers) -> np.ndarray:
     """uint64 hash of each (query, sender -> receiver @ hop) message.
 
-    ``senders``/``receivers`` are broadcast against ``query_keys``: with a
-    scalar key the result matches the message arrays' shape; with a
-    ``(nq,)`` key vector and ``(m,)`` message arrays it is the full
-    ``(m, nq)`` matrix, element ``[j, q]`` equal to the scalar evaluation
-    at ``(query_keys[q], senders[j], receivers[j])`` — that equality is
-    what makes the batch kernel bit-identical to the scalar loop.
+    All of ``query_keys``, ``senders`` and ``receivers`` broadcast
+    elementwise — scalars against arrays, or equal-shaped arrays with one
+    entry per message.  Element ``i`` equals the all-scalar evaluation at
+    ``(query_keys[i], senders[i], receivers[i])``, which is what makes every
+    kernel bit-identical to the scalar loop.
     """
-    base = _mix(_finalize(_as_u64(seed) + _GOLDEN), _as_u64(hop))
-    pair = _mix(_mix(base, _as_u64(senders)), _as_u64(receivers))
-    qk = _as_u64(query_keys)
-    if qk.ndim == 0:
-        return _mix(pair, qk)
-    return _mix(pair[..., None], qk[None, :])
+    return fold(edge_hash(seed, hop, senders, receivers), query_keys)
 
 
 def rate_threshold(rate: float) -> np.uint64:
@@ -78,13 +100,6 @@ def rate_threshold(rate: float) -> np.uint64:
     if rate >= 1.0:
         return _MAX_U64
     return np.uint64(int(rate * float(2**64)))
-
-
-def drop_mask(
-    rate: float, seed: int, query_keys, hop: int, senders, receivers
-) -> np.ndarray:
-    """Boolean drop decision per message (see :func:`message_hash`)."""
-    return message_hash(seed, query_keys, hop, senders, receivers) < rate_threshold(rate)
 
 
 def uniform01(seed: int, query_key: int, hop: int, sender: int, receiver: int) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.faults.hashing import drop_mask
+from repro.faults.hashing import edge_hash, fold, rate_threshold
 from repro.util.validation import check_probability
 
 
@@ -57,12 +57,24 @@ class LinkFaults:
         return self.loss_rate > 0.0
 
     def drop(self, query_keys, hop: int, senders, receivers) -> np.ndarray:
-        """Boolean drop mask for a block of messages.
+        """Boolean drop mask, elementwise over the broadcast arguments.
 
-        With a scalar ``query_keys`` the mask matches ``senders``' shape;
-        with a ``(nq,)`` vector it is ``(len(senders), nq)`` — one column
-        per query of a batch kernel invocation.
+        The one decision every kernel shares: scalars broadcast against
+        arrays, arrays carry one entry per message.  A scalar
+        ``query_keys`` with ``(m,)`` edge arrays is one query's frontier
+        (scalar flood, ABF, two-tier).
         """
-        return drop_mask(
-            self.loss_rate, self.seed, query_keys, hop, senders, receivers
-        )
+        return self.drop_keyed(self.edge_hash(hop, senders, receivers), query_keys)
+
+    def edge_hash(self, hop: int, senders, receivers) -> np.ndarray:
+        """Query-independent half of :meth:`drop`, one uint64 per edge."""
+        return edge_hash(self.seed, hop, senders, receivers)
+
+    def drop_keyed(self, edge_hashes, query_keys) -> np.ndarray:
+        """:meth:`drop` for messages whose :meth:`edge_hash` is already known.
+
+        A kernel advancing many queries over the same gathered edges hashes
+        each edge once and passes ``edge_hashes[edge_of_message]`` with the
+        per-message ``query_keys`` here.
+        """
+        return fold(edge_hashes, query_keys) < rate_threshold(self.loss_rate)

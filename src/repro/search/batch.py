@@ -34,13 +34,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 from repro.obs import runtime as _obs
 from repro.search.flooding import FloodResult, _record_obs
-from repro.topology.csr import gather_neighbors
+from repro.topology.csr import gather_neighbors, ragged_slices
 from repro.topology.graph import OverlayGraph
 from repro.util.validation import check_node_id
 
 _ONE = np.uint64(1)
 _WORD = np.uint64(63)
-_SIX = np.uint64(6)
 
 
 def _unpack_queries(words: np.ndarray, n_queries: int) -> np.ndarray:
@@ -63,19 +62,6 @@ def _pack_queries(flags: np.ndarray) -> np.ndarray:
     padded = np.zeros(n_words * 64, dtype=np.uint8)
     padded[: flags.size] = flags
     return np.packbits(padded, bitorder="little").view("<u8").astype(np.uint64)
-
-
-def _pack_rows(flags: np.ndarray) -> np.ndarray:
-    """Pack ``(rows, n_queries)`` booleans into ``(rows, n_words)`` uint64."""
-    rows, nq = flags.shape
-    n_words = (nq + 63) >> 6
-    padded = np.zeros((rows, n_words * 64), dtype=np.uint8)
-    padded[:, :nq] = flags
-    return (
-        np.packbits(padded, axis=1, bitorder="little")
-        .view("<u8")
-        .astype(np.uint64)
-    )
 
 
 def flood_batch(
@@ -155,7 +141,7 @@ def flood_batch(
         visited = np.zeros((n, n_words), dtype=np.uint64)
         np.bitwise_or.at(
             visited,
-            (sources, (qbits >> _SIX).astype(np.int64)),
+            (sources, qids >> 6),
             _ONE << (qbits & _WORD),
         )
         frontier = visited.copy()
@@ -167,7 +153,8 @@ def flood_batch(
                 if rows.size == 0:
                     break
                 fbits = _unpack_queries(frontier[rows], nq).astype(np.int64)
-                sent = degrees[rows] @ fbits
+                degs = degrees[rows]
+                sent = degs @ fbits
                 if h > 1:
                     sent -= fbits.sum(axis=0)
                 # A query whose frontier would send nothing stops here
@@ -181,23 +168,32 @@ def flood_batch(
 
                 new = np.zeros_like(visited)
                 nbrs, owner_pos = gather_neighbors(graph, rows)
+                senders = rows[owner_pos]
+                deliver = frontier[senders]
                 if lossy:
-                    # (pairs, nq) drop decisions — element [j, q] is
-                    # exactly scalar flood's decision for query q on the
-                    # message senders[j] -> nbrs[j], so ANDing the packed
-                    # keep mask into the delivery OR loses the same
-                    # messages the scalar loop loses.
-                    senders = rows[owner_pos]
-                    dropmat = faults.drop(query_keys, h, senders, nbrs)
-                    fpairs = _unpack_queries(frontier[rows], nq).astype(
-                        bool
-                    )[owner_pos]
-                    dropped_h = (dropmat & fpairs).sum(axis=0, dtype=np.int64)
-                    dropped[live, h - 1] = dropped_h[live]
-                    deliver = frontier[senders] & _pack_rows(~dropmat)
-                    np.bitwise_or.at(new, nbrs, deliver)
-                else:
-                    np.bitwise_or.at(new, nbrs, frontier[rows[owner_pos]])
+                    # One decision per message a query actually sends.
+                    # Each set (row, query) frontier bit expands by its
+                    # row's degree into that row's run of gathered edges;
+                    # the decision at (edge, query) is exactly scalar
+                    # flood's for that query on senders[edge] -> nbrs[edge].
+                    live_bits = _unpack_queries(frontier[rows], nq).view(bool)
+                    r_idx, q_idx = np.divmod(np.flatnonzero(live_bits), nq)
+                    row_edges = np.concatenate(([0], np.cumsum(degs)))
+                    edge, bit = ragged_slices(row_edges, r_idx)
+                    lost = np.flatnonzero(faults.drop_keyed(
+                        faults.edge_hash(h, senders, nbrs)[edge],
+                        query_keys[q_idx][bit],
+                    ))
+                    lost_q = q_idx[bit[lost]]
+                    dropped[:, h - 1] = np.bincount(lost_q, minlength=nq)
+                    # Lost messages leave the delivery OR: clear their
+                    # query bit in the copy of the sender's frontier row.
+                    np.bitwise_and.at(
+                        deliver,
+                        (edge[lost], lost_q >> 6),
+                        ~(_ONE << (lost_q.astype(np.uint64) & _WORD)),
+                    )
+                np.bitwise_or.at(new, nbrs, deliver)
                 # Fresh arrivals only; the OR above already deduped
                 # same-hop duplicates per query.
                 np.bitwise_and(new, ~visited, out=new)

@@ -206,10 +206,8 @@ def flood(
                 # unchanged — the bandwidth was spent either way.
                 drop = faults.drop(query_key, h, frontier[owner_pos], nbrs)
                 dropped[h - 1] = int(np.count_nonzero(drop))
-                delivered = nbrs[~drop]
-            else:
-                delivered = nbrs
-            fresh = delivered[~visited[delivered]]
+                nbrs = nbrs[~drop]
+            fresh = nbrs[~visited[nbrs]]
             frontier = np.unique(fresh)
             visited[frontier] = True
 
@@ -256,16 +254,18 @@ def _record_obs(results: list[FloodResult]) -> None:
     queries = reg.counter("search.flood.queries")
     sent_c = reg.counter("search.flood.messages_sent")
     dup_c = reg.counter("search.flood.duplicates")
+    # One call is one fault environment: its results are all lossy or none
+    # is, and a lossless call must not create the counter.
+    lossy = bool(results) and results[0].dropped_per_hop is not None
+    lost_c = reg.counter("search.flood.messages_lost") if lossy else None
     hist = reg.histogram("search.flood.messages_per_query")
     for r in results:
         total = int(r.messages_per_hop.sum())
         queries.inc()
         sent_c.inc(total)
         dup_c.inc(int(r.duplicates_per_hop.sum()))
-        if r.dropped_per_hop is not None:
-            reg.counter("search.flood.messages_lost").inc(
-                int(r.dropped_per_hop.sum())
-            )
+        if lossy:
+            lost_c.inc(r.total_dropped)
         hist.observe(float(total))
         if tracer is None:
             continue
@@ -276,7 +276,7 @@ def _record_obs(results: list[FloodResult]) -> None:
                 new=int(r.new_nodes_per_hop[h]),
                 dup=int(r.duplicates_per_hop[h]),
             )
-            if r.dropped_per_hop is not None:
+            if lossy:
                 fields["lost"] = int(r.dropped_per_hop[h])
             tracer.emit("flood.hop", **fields)
         tracer.emit(

@@ -198,10 +198,7 @@ class TwoTierSearch:
             entry = self._node_to_mesh[parents]
             mesh_msgs += entry.size  # leaf -> ultrapeer submissions
             if lossy and parents.size:
-                drop = faults.drop(
-                    query_key, 0,
-                    np.full(parents.size, source, dtype=np.int64), parents,
-                )
+                drop = faults.drop(query_key, 0, source, parents)
                 lost += int(np.count_nonzero(drop))
                 entry = entry[~drop]
 

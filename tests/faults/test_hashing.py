@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from repro.faults.hashing import (
-    drop_mask,
+    edge_hash,
+    fold,
     message_hash,
     rate_threshold,
     uniform01,
 )
 from repro.faults.link import LinkFaults
+
+
+def drop_mask(rate, seed, query_keys, hop, senders, receivers):
+    """The drop decision through the one seam, ``LinkFaults.drop``."""
+    return LinkFaults(loss_rate=rate, seed=seed).drop(
+        query_keys, hop, senders, receivers
+    )
 
 
 class TestMessageHash:
@@ -36,20 +44,65 @@ class TestMessageHash:
         )
 
     def test_broadcast_matrix_matches_scalar_evaluations(self):
-        # The contract the batch kernel relies on: a (nq,) key vector with
-        # (m,) message arrays yields the (m, nq) matrix of scalar values.
+        # The one contract every kernel relies on: keys, senders and
+        # receivers broadcast elementwise, and each element equals the
+        # all-scalar evaluation at its coordinates.  There is no implicit
+        # outer product — a (nq,) key vector against (m,) message arrays of
+        # another length is a shape error; the (m, nq) matrix is spelled
+        # with explicit axes.
         rng = np.random.default_rng(0)
         senders = rng.integers(0, 100, size=13)
         receivers = rng.integers(0, 100, size=13)
         keys = rng.integers(0, 50, size=7)
-        matrix = message_hash(42, keys, 3, senders, receivers)
+
+        def scalar(j, key):
+            return message_hash(42, int(key), 3, senders[j], receivers[j])
+
+        with pytest.raises(ValueError):
+            message_hash(42, keys, 3, senders, receivers)
+        matrix = message_hash(
+            42, keys[None, :], 3, senders[:, None], receivers[:, None]
+        )
         assert matrix.shape == (13, 7)
         for j in range(13):
             for q in range(7):
-                scalar = message_hash(
-                    42, int(keys[q]), 3, senders[j], receivers[j]
-                )
-                assert matrix[j, q] == scalar
+                assert matrix[j, q] == scalar(j, keys[q])
+        # One key per message (the batch kernel's sparse call shape).
+        per_message = rng.integers(0, 50, size=13)
+        vector = message_hash(42, per_message, 3, senders, receivers)
+        assert vector.shape == (13,)
+        for j in range(13):
+            assert vector[j] == scalar(j, per_message[j])
+        # A scalar key against message arrays (one query's frontier).
+        column = message_hash(42, int(keys[2]), 3, senders, receivers)
+        assert np.array_equal(column, matrix[:, 2])
+
+    def test_edge_and_key_halves_compose(self):
+        # The batched kernel hashes each gathered edge once and folds the
+        # key in per message; the composition is message_hash itself, and
+        # folding must not write through to the caller's edge hashes.
+        senders = np.arange(40, dtype=np.int64)
+        receivers = senders[::-1].copy()
+        keys = np.arange(40, dtype=np.int64) * 7 - 3
+        edges = edge_hash(9, 2, senders, receivers)
+        before = edges.copy()
+        composed = fold(edges, keys)
+        assert np.array_equal(edges, before)
+        assert np.array_equal(
+            composed, message_hash(9, keys, 2, senders, receivers)
+        )
+
+    def test_blocked_finalizer_matches_small_blocks(self, monkeypatch):
+        # Arrays longer than one block (finalized block by block) hash
+        # like short ones (finalized whole).
+        from repro.faults import hashing
+
+        senders = np.arange(1000, dtype=np.int64)
+        whole = message_hash(1, 5, 2, senders, senders + 1)
+        monkeypatch.setattr(hashing, "_BLOCK", 64)
+        assert np.array_equal(
+            whole, message_hash(1, 5, 2, senders, senders + 1)
+        )
 
     def test_scalar_key_matches_sender_shape(self):
         senders = np.arange(5, dtype=np.int64)
@@ -113,8 +166,17 @@ class TestLinkFaults:
     def test_drop_delegates_to_hash(self):
         f = LinkFaults(loss_rate=0.4, seed=9)
         s = np.arange(50, dtype=np.int64)
-        expect = drop_mask(0.4, 9, 2, 3, s, s + 1)
+        expect = message_hash(9, 2, 3, s, s + 1) < rate_threshold(0.4)
         assert np.array_equal(f.drop(2, 3, s, s + 1), expect)
+
+    def test_drop_keyed_is_drop_on_precomputed_edges(self):
+        f = LinkFaults(loss_rate=0.4, seed=9)
+        s = np.arange(50, dtype=np.int64)
+        keys = (s * 3) % 11
+        edges = f.edge_hash(3, s, s + 1)
+        assert np.array_equal(
+            f.drop_keyed(edges, keys), f.drop(keys, 3, s, s + 1)
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ from repro.search import (
 )
 from repro.search.batch import flood_batch, placement_masks
 from repro.search.flooding import draw_query_workload, flood
-from repro.topology import powerlaw_graph, two_tier_graph
+from repro.topology import OverlayGraph, powerlaw_graph, two_tier_graph
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +93,59 @@ class TestScalarBatchParity:
             graph, sources[a:b], 4, replica_masks=masks[a:b], faults=faults,
         )  # default keys arange(0, b-a): shard-local
         assert result_rows(full[a:b]) != result_rows(local)
+
+
+class TestMultiWordBitsets:
+    """Loss with more than 64 queries per kernel call (``n_words > 1``).
+
+    Every other lossy test here stays inside one bitset word.  These run
+    65+ floods at once on a graph with isolated pairs, so the same call
+    holds floods that die at hop 2 (a pair's far end has only its parent
+    to forward to) beside floods that run the full TTL, under
+    non-contiguous loss keys.
+    """
+
+    @pytest.fixture(scope="class")
+    def mixed(self, graph):
+        n, pairs = graph.n_nodes, 6
+        edges = np.asarray([(u, v) for u, v, _ in graph.iter_edges()])
+        far = n + 2 * np.arange(pairs)
+        return OverlayGraph.from_edges(
+            n + 2 * pairs,
+            np.concatenate([edges[:, 0], far]),
+            np.concatenate([edges[:, 1], far + 1]),
+        )
+
+    @pytest.mark.parametrize("nq", [64, 65, 130])
+    def test_batch_kernel_matches_scalar(self, mixed, nq):
+        rng = np.random.default_rng(nq)
+        n = mixed.n_nodes
+        # A third of the floods start on an isolated pair.
+        sources = np.where(
+            rng.random(nq) < 1 / 3, rng.integers(n - 12, n, nq),
+            rng.integers(0, n - 12, nq),
+        )
+        keys = rng.permutation(10 * nq)[:nq] * 7 + 3
+        masks = rng.random((nq, n)) < 0.02
+        faults = LinkFaults(loss_rate=0.2, seed=31)
+        scalar = [
+            flood(mixed, int(s), 4, replica_mask=masks[i], faults=faults,
+                  query_key=int(keys[i]))
+            for i, s in enumerate(sources)
+        ]
+        last_hop = np.asarray([r.messages_per_hop[-1] for r in scalar])
+        assert (last_hop == 0).any() and (last_hop > 0).any()
+        batch = flood_batch(mixed, sources, 4, replica_masks=masks,
+                            faults=faults, query_keys=keys)
+        assert result_rows(scalar) == result_rows(batch)
+
+    def test_flood_queries_wide_batches_match_scalar(self, graph, placement):
+        faults = LinkFaults(loss_rate=0.15, seed=8)
+        scalar = flood_queries(graph, placement, 230, ttl=4, seed=19,
+                               faults=faults)
+        wide = flood_queries(graph, placement, 230, ttl=4, seed=19,
+                             faults=faults, batch_size=100)
+        assert result_rows(scalar) == result_rows(wide)
 
 
 class TestWorkerCountParity:
