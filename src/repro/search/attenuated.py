@@ -30,6 +30,28 @@ from repro.topology.graph import OverlayGraph
 from repro.util.segments import segment_bitwise_or
 
 
+def shallowest_level(
+    levels: Tuple[np.ndarray, ...], rows: np.ndarray,
+    words: np.ndarray, masks: np.ndarray, first_level: int = 0,
+) -> np.ndarray:
+    """Shallowest of ``levels`` whose filter row contains a hashed key.
+
+    The one level lookup of both filter variants and both routers.
+    ``levels[i]`` is the ``(n_rows, n_words)`` filter array of level
+    ``first_level + i``; ``rows`` picks one filter row per probe.
+    ``(words, masks)`` are :func:`~repro.search.bloom.key_positions` of
+    the key: ``(n_hashes,)`` to probe every row for one key, or
+    ``(len(rows), n_hashes)`` for a key per row.  Returns the level per
+    probe, ``first_level + len(levels)`` where none matches.
+    """
+    out = np.full(rows.shape, first_level + len(levels), dtype=np.int64)
+    rows = rows[:, None]
+    for i in range(len(levels) - 1, -1, -1):
+        probe = levels[i][rows, words]
+        out[np.all((probe & masks) == masks, axis=1)] = first_level + i
+    return out
+
+
 @dataclass(frozen=True)
 class AttenuatedFilters:
     """Per-node attenuated Bloom filters of a whole overlay.
@@ -67,24 +89,20 @@ class AttenuatedFilters:
         """
         nodes = np.atleast_1d(np.asarray(nodes, dtype=np.int64))
         words, masks = key_positions(np.asarray([key]), self.params)
-        w, m = words[0], masks[0]
-        out = np.full(nodes.size, self.no_match, dtype=np.int64)
-        for level in range(self.depth - 1, -1, -1):
-            probe = self.levels[level][nodes][:, w]
-            hit = np.all((probe & m) == m, axis=1)
-            out[hit] = level
-        return out
+        return shallowest_level(self.levels, nodes, words[0], masks[0])
 
-    def neighbor_levels(
-        self, graph, u: int, targets: np.ndarray, key: int
+    def link_levels(
+        self, neighbors: np.ndarray, positions: np.ndarray,
+        words: np.ndarray, masks: np.ndarray,
     ) -> np.ndarray:
-        """Router hook: score the filters of ``u``'s neighbors ``targets``.
+        """Router hook: score the links toward ``neighbors``.
 
-        For per-node filters this is simply each target's own hierarchy
-        (what the target shared with ``u`` on connection); the per-link
-        variant overrides this with link-specific filters.
+        ``positions`` are the links' CSR entries and ``(words, masks)`` the
+        hashed key(s), see :func:`shallowest_level`.  For per-node filters
+        a link's score is simply the neighbor's own hierarchy (what it
+        shared on connection); the per-link variant reads ``positions``.
         """
-        return self.matched_level(targets, key)
+        return shallowest_level(self.levels, neighbors, words, masks)
 
     def contains(self, node: int, level: int, key: int) -> bool:
         """Membership test of ``key`` in one node's level-``level`` filter."""

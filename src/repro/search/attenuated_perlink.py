@@ -26,6 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.search.attenuated import shallowest_level
 from repro.search.bloom import BloomParams, insert_keys, key_positions, make_filters
 from repro.search.replication import Placement
 from repro.topology.graph import OverlayGraph
@@ -65,21 +66,14 @@ class PerLinkAttenuatedFilters:
         """Shallowest matching level for each directed-edge position."""
         positions = np.atleast_1d(np.asarray(positions, dtype=np.int64))
         words, masks = key_positions(np.asarray([key]), self.params)
-        w, m = words[0], masks[0]
-        out = np.full(positions.size, self.no_match, dtype=np.int64)
-        for level in range(self.depth, 0, -1):
-            probe = self.levels[level - 1][positions][:, w]
-            hit = np.all((probe & m) == m, axis=1)
-            out[hit] = level
-        return out
+        return shallowest_level(self.levels, positions, words[0], masks[0], 1)
 
-    def neighbor_levels(
-        self, graph: OverlayGraph, u: int, targets: np.ndarray, key: int
+    def link_levels(
+        self, neighbors: np.ndarray, positions: np.ndarray,
+        words: np.ndarray, masks: np.ndarray,
     ) -> np.ndarray:
-        """Router hook: score ``u``'s links toward ``targets`` for ``key``."""
-        nbrs = graph.neighbors(u)
-        pos = graph.indptr[u] + np.searchsorted(nbrs, targets)
-        return self.matched_level_links(pos, key)
+        """Router hook: score the links at CSR entries ``positions``."""
+        return shallowest_level(self.levels, positions, words, masks, 1)
 
 
 def _reverse_entry_permutation(graph: OverlayGraph) -> np.ndarray:

@@ -69,16 +69,19 @@ def segment_max(data: np.ndarray, indptr: np.ndarray, empty_value=0) -> np.ndarr
     return _reduceat(np.maximum, data, indptr, empty_value=empty_value)
 
 
-def segment_bitwise_or(
-    data: np.ndarray, indptr: np.ndarray, chunk_rows: int = 1 << 18
-) -> np.ndarray:
+def segment_bitwise_or(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Per-segment bitwise OR of 2-D uint rows; empty segments yield zeros.
 
     This is the inner kernel of attenuated-Bloom-filter aggregation: ``data``
     holds one filter row per (node, neighbor) pair in CSR order and the
-    result is each node's OR over its neighbors' filters.  Work is chunked
-    over whole segments so the gathered intermediate stays below roughly
-    ``chunk_rows`` rows regardless of network size.
+    result is each node's OR over its neighbors' filters.
+
+    The OR runs rank by rank, not segment by segment: pass ``j`` ORs the
+    ``j``-th row of every segment longer than ``j`` into that segment's
+    accumulator.  With segments ordered longest first those are a prefix,
+    so a pass is one gather and one in-place OR, every row of ``data`` is
+    read exactly once however skewed the lengths are, and no temporary is
+    larger than the output.
     """
     data = np.asarray(data)
     if data.ndim != 2:
@@ -86,16 +89,15 @@ def segment_bitwise_or(
     if not np.issubdtype(data.dtype, np.integer):
         raise ValueError(f"data must be an integer dtype, got {data.dtype}")
     indptr = _check_indptr(indptr, data.shape[0])
-    n = indptr.size - 1
-    out = np.zeros((n,) + data.shape[1:], dtype=data.dtype)
-    seg = 0
-    while seg < n:
-        # Advance by whole segments until the chunk holds ~chunk_rows rows.
-        end = int(np.searchsorted(indptr, indptr[seg] + chunk_rows, side="left"))
-        end = max(end, seg + 1)
-        end = min(end, n)
-        local_ptr = indptr[seg : end + 1] - indptr[seg]
-        block = data[indptr[seg] : indptr[end]]
-        out[seg:end] = _reduceat(np.bitwise_or, block, local_ptr, empty_value=0)
-        seg = end
+    counts = np.diff(indptr)
+    order = np.argsort(-counts, kind="stable")
+    starts = indptr[:-1][order]
+    acc = np.zeros((counts.size,) + data.shape[1:], dtype=data.dtype)
+    if data.shape[0]:
+        # longer[j] = number of segments with more than j rows.
+        longer = np.cumsum(np.bincount(counts)[::-1])[::-1][1:]
+        for j, c in enumerate(longer):
+            acc[:c] |= data[starts[:c] + j]
+    out = np.empty_like(acc)
+    out[order] = acc
     return out

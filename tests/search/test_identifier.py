@@ -147,3 +147,140 @@ class TestIdentifierQueriesOnMakalu:
         router = make_router(small_makalu, p)
         r = router.query(5, p.key_of(0), p.holder_mask(0), ttl=20, seed=8)
         assert r.path[0] == 5
+
+
+def rows(results):
+    return [
+        (r.source, r.target_key, r.messages, r.resolved_at, r.path.tolist(),
+         r.messages_lost)
+        for r in results
+    ]
+
+
+class TestLockStepKernel:
+    """``query_batch`` (what ``identifier_queries`` runs) against ``query``."""
+
+    @pytest.fixture(scope="class")
+    def blind(self):
+        # Depth 1 with a single replica: only the holder's own digest
+        # matches, so a query wanders at random, and backtracks out of
+        # the power-law graph's many degree-1 dead ends, until it stands
+        # next to the holder.
+        from repro.topology import powerlaw_graph
+
+        g = powerlaw_graph(400, seed=20)
+        p = place_objects(g.n_nodes, 6, 1 / g.n_nodes, seed=21)
+        return make_router(g, p, depth=1), p
+
+    @staticmethod
+    def workload(graph, placement, n, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.integers(0, graph.n_nodes, size=n),
+                rng.integers(0, placement.n_objects, size=n),
+                np.random.SeedSequence(seed).spawn(n))
+
+    def test_random_and_backtrack_branches_match_scalar(self, blind):
+        from repro import obs
+        from repro.faults import LinkFaults
+
+        router, p = blind
+        sources, objects, children = self.workload(router.graph, p, 60, 22)
+        faults = LinkFaults(loss_rate=0.1, seed=4)
+        session = obs.configure(trace=True)
+        try:
+            batch = router.query_batch(
+                sources, objects, p,
+                [np.random.default_rng(c) for c in children],
+                ttl=60, faults=faults,
+            )
+        finally:
+            obs.disable()
+        decisions = [e["decision"] for e in session.tracer.events("abf.route")]
+        for branch in ("random", "backtrack", "lost"):
+            assert decisions.count(branch) > 10, branch
+        assert "filter" in decisions  # the last step, beside the holder
+        scalar = [
+            router.query(int(s), p.key_of(int(o)), p.holder_mask(int(o)),
+                         ttl=60, seed=np.random.default_rng(c), faults=faults,
+                         query_key=i)
+            for i, (s, o, c) in enumerate(zip(sources, objects, children))
+        ]
+        assert rows(batch) == rows(scalar)
+        assert any(not r.success for r in batch)  # some exhaust the TTL
+
+    def test_batch_of_one_equals_batch_of_300(self, blind):
+        # Lock-step must not leak between queries: query i's result is
+        # the same whoever it shares a batch with.
+        from repro.faults import LinkFaults
+
+        router, p = blind
+        sources, objects, children = self.workload(router.graph, p, 300, 23)
+        faults = LinkFaults(loss_rate=0.05, seed=6)
+        keys = np.arange(300)
+        together = router.query_batch(
+            sources, objects, p, [np.random.default_rng(c) for c in children],
+            ttl=40, faults=faults, query_keys=keys,
+        )
+        alone = [
+            router.query_batch(
+                sources[i : i + 1], objects[i : i + 1], p,
+                [np.random.default_rng(children[i])],
+                ttl=40, faults=faults, query_keys=keys[i : i + 1],
+            )[0]
+            for i in range(300)
+        ]
+        assert rows(together) == rows(alone)
+
+    def test_validation(self, blind):
+        router, p = blind
+        rng = [np.random.default_rng(0)]
+        assert router.query_batch([], [], p, []) == []
+        with pytest.raises(ValueError, match="one entry per query"):
+            router.query_batch([0, 1], [0], p, rng * 2)
+        with pytest.raises(ValueError, match="one entry per query"):
+            router.query_batch([0], [0], p, [])
+        with pytest.raises(ValueError, match="ttl"):
+            router.query_batch([0], [0], p, rng, ttl=-1)
+        with pytest.raises(ValueError):
+            router.query_batch([router.graph.n_nodes], [0], p, rng)
+        with pytest.raises(IndexError):
+            router.query_batch([0], [p.n_objects], p, rng)
+        with pytest.raises(ValueError, match="query_keys"):
+            router.query_batch([0], [0], p, rng, query_keys=np.arange(2))
+
+
+class TestGoldenTotals:
+    """``(sum messages, sum lost, resolved)`` of two seeded workloads.
+
+    Recorded from the per-query scalar loop ``identifier_queries`` ran
+    before the lock-step kernel, on the fixture graph of
+    ``tests/search/test_flood_faults.py``; the flood pins there are the
+    same kind of guard.
+    """
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        from repro.topology import powerlaw_graph
+
+        g = powerlaw_graph(500, seed=101)
+        p = place_objects(g.n_nodes, 25, 0.02, seed=102)
+        return make_router(g, p), p
+
+    def test_lossless(self, world):
+        router, p = world
+        rs = identifier_queries(router, p, 200, ttl=25, seed=9)
+        assert all(r.messages_lost is None for r in rs)
+        assert (sum(r.messages for r in rs),
+                sum(r.success for r in rs)) == (956, 195)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_five_percent_loss(self, world, n_workers):
+        from repro.faults import LinkFaults
+
+        router, p = world
+        rs = identifier_queries(router, p, 200, ttl=25, seed=9,
+                                faults=LinkFaults(loss_rate=0.05, seed=7),
+                                n_workers=n_workers)
+        assert (sum(r.messages for r in rs),
+                sum(r.messages_lost for r in rs),
+                sum(r.success for r in rs)) == (980, 55, 197)

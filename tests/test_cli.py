@@ -140,6 +140,25 @@ class TestObservabilityFlags:
         assert "trace written" in capsys.readouterr().out
         assert len(read_trace(str(path), kind="flood.query")) == 5
 
+    @pytest.mark.parametrize("variant, digest", [
+        ([], "0b3526d518c9244bf8aecc522cbc1073"
+             "8122f8cb76e0242c2dc3a5b573667d4a"),
+        (["--per-link"], "6c59e3266cce245c153b8d91e77a8ae0"
+                         "1bcd46a3273aba9508bc5eab8d9b3607"),
+    ])
+    def test_identifier_trace_is_pinned(self, tmp_path, capsys, variant, digest):
+        # Recorded when identifier_queries still routed one query per
+        # Python iteration: overlay build, ABF build and every abf.route /
+        # abf.query event of the run, byte for byte.
+        import hashlib
+
+        path = tmp_path / "trace.jsonl"
+        assert main([
+            "identifier", "--nodes", "300", "--seed", "2", "--queries", "20",
+            "--trace", str(path), *variant,
+        ]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_build_profile_report(self, capsys):
         assert main(["build", *ARGS_SMALL, "--profile"]) == 0
         out = capsys.readouterr().out

@@ -81,14 +81,6 @@ class TestSegmentBitwiseOr:
         out = segment_bitwise_or(data, indptr)
         np.testing.assert_array_equal(out, [[5, 6]])
 
-    def test_chunking_matches_unchunked(self, rng):
-        data = rng.integers(0, 2**63, size=(500, 4)).astype(np.uint64)
-        cuts = np.sort(rng.integers(0, 501, size=99))
-        indptr = np.concatenate(([0], cuts, [500]))
-        small = segment_bitwise_or(data, indptr, chunk_rows=7)
-        large = segment_bitwise_or(data, indptr, chunk_rows=10_000)
-        np.testing.assert_array_equal(small, large)
-
     def test_rejects_float_data(self):
         with pytest.raises(ValueError, match="integer"):
             segment_bitwise_or(np.zeros((2, 2)), np.asarray([0, 2]))
